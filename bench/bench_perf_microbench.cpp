@@ -98,14 +98,21 @@ void BM_BuildSessions(benchmark::State& state) {
     gismo::live_config cfg = gismo::live_config::scaled(0.1);
     cfg.window = 2 * seconds_per_day;
     const trace t = gismo::generate_live_workload(cfg, 7);
+    thread_pool pool(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
-        auto ss = characterize::build_sessions(t, 1500);
-        benchmark::DoNotOptimize(ss.sessions.data());
-        state.counters["records/s"] = benchmark::Counter(
-            static_cast<double>(t.size()), benchmark::Counter::kIsRate);
+        auto ss = characterize::build_sessions(t, 1500, pool);
+        benchmark::DoNotOptimize(ss.sessions.heads().data());
     }
+    state.counters["records/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) *
+            static_cast<double>(t.size()),
+        benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BuildSessions)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildSessions)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FitLognormal(benchmark::State& state) {
     rng r(8);
@@ -602,7 +609,7 @@ void BM_SessionizeSpill(benchmark::State& state) {
     opts.max_resident_records = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
         const auto ss = characterize::build_sessions_spill(t, opts, pool);
-        benchmark::DoNotOptimize(ss.sessions.data());
+        benchmark::DoNotOptimize(ss.sessions.heads().data());
         state.counters["records/s"] = benchmark::Counter(
             static_cast<double>(t.size()),
             benchmark::Counter::kIsIterationInvariantRate);

@@ -18,14 +18,15 @@ client_layer_report analyze_client_layer(const trace& t,
     client_layer_report rep;
     rep.total_transfers = t.size();
     rep.total_sessions = sessions.sessions.size();
+    const auto heads = sessions.sessions.heads();
 
     const seconds_t horizon =
         t.window_length() > 0 ? t.window_length() : seconds_per_day;
 
     // --- Concurrency: a client is active while one of its sessions is on.
     std::vector<stats::interval> session_intervals;
-    session_intervals.reserve(sessions.sessions.size());
-    for (const session& s : sessions.sessions) {
+    session_intervals.reserve(heads.size());
+    for (const session_table::head& s : heads) {
         // Zero-length sessions still occupy their start instant.
         session_intervals.push_back(
             {s.start, std::max(s.end, s.start + 1)});
@@ -53,8 +54,8 @@ client_layer_report analyze_client_layer(const trace& t,
     // different clients, in global start order.
     const auto order = sessions.order_by_start();
     for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-        const session& a = sessions.sessions[order[i]];
-        const session& b = sessions.sessions[order[i + 1]];
+        const session_table::head& a = heads[order[i]];
+        const session_table::head& b = heads[order[i + 1]];
         if (a.client == b.client) continue;
         rep.client_interarrivals.push_back(
             static_cast<double>(log_display(b.start - a.start)));
@@ -85,12 +86,9 @@ client_layer_report analyze_client_layer(const trace& t,
     // Sessions arrive (client, start)-sorted, so per-client session
     // counts are plain run lengths.
     std::vector<std::uint64_t> scounts;
-    for (std::size_t i = 0; i < sessions.sessions.size();) {
+    for (std::size_t i = 0; i < heads.size();) {
         std::size_t j = i;
-        while (j < sessions.sessions.size() &&
-               sessions.sessions[j].client == sessions.sessions[i].client) {
-            ++j;
-        }
+        while (j < heads.size() && heads[j].client == heads[i].client) ++j;
         scounts.push_back(j - i);
         i = j;
     }

@@ -1,276 +1,387 @@
 #include "characterize/session_builder.h"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
-#include <iterator>
 #include <numeric>
 #include <ostream>
-#include <tuple>
 
 #include "core/trace_io.h"
 
 #include "core/contracts.h"
 #include "core/radix_sort.h"
 #include "obs/metrics.h"
-#include "obs/trace_event.h"
 
 namespace lsm::characterize {
 
+/// Raw write access to a session_table's columns, sized once up front so
+/// every shard can fill its own slice concurrently.
+struct session_table_writer {
+    session_table::head* heads;
+    seconds_t* starts;
+    seconds_t* ends;
+    object_id* objects;
+
+    static session_table_writer sized(session_table& t, std::size_t sessions,
+                                      std::size_t transfers) {
+        t.heads_.resize(sessions);
+        t.starts_.resize(transfers);
+        t.ends_.resize(transfers);
+        t.objects_.resize(transfers);
+        return {t.heads_.data(), t.starts_.data(), t.ends_.data(),
+                t.objects_.data()};
+    }
+};
+
+session session_table::operator[](std::size_t i) const {
+    const head& h = heads_[i];
+    const std::size_t last =
+        i + 1 < heads_.size() ? heads_[i + 1].first : starts_.size();
+    const std::size_t n = last - h.first;
+    return session{h.client,
+                   h.start,
+                   h.end,
+                   static_cast<std::uint32_t>(n),
+                   {starts_.data() + h.first, n},
+                   {ends_.data() + h.first, n},
+                   {objects_.data() + h.first, n}};
+}
+
+void session_table::push_back(const session& s) {
+    heads_.push_back(head{s.client, s.start, s.end, starts_.size()});
+    starts_.insert(starts_.end(), s.transfer_starts.begin(),
+                   s.transfer_starts.end());
+    ends_.insert(ends_.end(), s.transfer_ends.begin(), s.transfer_ends.end());
+    objects_.insert(objects_.end(), s.transfer_objects.begin(),
+                    s.transfer_objects.end());
+}
+
 namespace {
 
-/// Orders record indices by (client, start, duration): the per-client
-/// timeline the sessionizer walks. Starts and durations in a real trace
-/// span far less than 2^32 seconds, so the (start, duration) pair packs
-/// into one 64-bit word after rebasing at the minimum, and the order
-/// reduces to a two-word radix sort; a trace whose ranges do not fit
-/// falls back to the comparison sort.
-void sort_client_timeline(const trace& t, std::vector<std::uint32_t>& idx) {
-    const auto& recs = t.records();
-    if (idx.size() > 1) {
-        std::uint64_t min_s = radix_key_i64(recs[idx[0]].start);
-        std::uint64_t max_s = min_s;
-        std::uint64_t min_d = radix_key_i64(recs[idx[0]].duration);
-        std::uint64_t max_d = min_d;
-        for (std::uint32_t i : idx) {
-            const std::uint64_t s = radix_key_i64(recs[i].start);
-            const std::uint64_t d = radix_key_i64(recs[i].duration);
-            min_s = std::min(min_s, s);
-            max_s = std::max(max_s, s);
-            min_d = std::min(min_d, d);
-            max_d = std::max(max_d, d);
-        }
-        if (max_s - min_s < (1ULL << 32) && max_d - min_d < (1ULL << 32)) {
-            const auto key = [&](std::uint32_t i, int w) -> std::uint64_t {
-                const log_record& r = recs[i];
-                if (w == 0) {
-                    return ((radix_key_i64(r.start) - min_s) << 32) |
-                           (radix_key_i64(r.duration) - min_d);
-                }
-                return r.client;
-            };
-            radix_sort_by_words(idx, 2, key);
-            return;
-        }
+/// A record as the timeline sort carries it, so sorting never reaches
+/// back into the 64-byte records. `time` is the sort key under the
+/// client: the rebased (start, duration) pair packed into one word, or
+/// the rebased start alone when the pair does not fit (see time_codec).
+struct timeline_key {
+    std::uint64_t time;
+    client_id client;
+    std::uint32_t record;
+    object_id object;
+};
+
+/// Packs and unpacks timeline_key::time as start << dur_bits | duration,
+/// both rebased at their minimum, using only the bits their ranges need
+/// (a 28-day trace needs about 22 + 17), so the radix sort skips every
+/// unused byte plane. Only unsanitized input with huge ranges needs more
+/// than 63 bits; then the key holds the full rebased start and an extra
+/// radix pass orders durations first.
+struct time_codec {
+    std::uint64_t min_s = 0;  ///< smallest radix_key_i64(start)
+    std::uint64_t min_d = 0;  ///< smallest radix_key_i64(duration)
+    int dur_bits = 0;
+    bool packed = true;
+
+    std::uint64_t rebased_duration(const log_record& r) const {
+        return radix_key_i64(r.duration) - min_d;
     }
-    std::sort(idx.begin(), idx.end(), [&](std::uint32_t a, std::uint32_t b) {
-        return std::tuple(recs[a].client, recs[a].start, recs[a].duration) <
-               std::tuple(recs[b].client, recs[b].start, recs[b].duration);
-    });
-}
+    std::uint64_t time(const log_record& r) const {
+        const std::uint64_t s = radix_key_i64(r.start) - min_s;
+        return packed ? (s << dur_bits) | rebased_duration(r) : s;
+    }
+    seconds_t start(const timeline_key& k) const {
+        return unkey((packed ? k.time >> dur_bits : k.time) + min_s);
+    }
+    seconds_t duration(const timeline_key& k,
+                       std::span<const log_record> recs) const {
+        if (!packed) return recs[k.record].duration;
+        return unkey((k.time & ((std::uint64_t{1} << dur_bits) - 1)) + min_d);
+    }
 
-/// Indices of trace records sorted by (client, start, end).
-std::vector<std::uint32_t> client_timeline_order(const trace& t) {
-    LSM_EXPECTS(t.size() < 0xFFFFFFFFULL);
-    std::vector<std::uint32_t> idx(t.size());
-    std::iota(idx.begin(), idx.end(), 0U);
-    sort_client_timeline(t, idx);
-    return idx;
-}
+private:
+    static seconds_t unkey(std::uint64_t k) {
+        return static_cast<seconds_t>(k ^ (1ULL << 63));
+    }
+};
 
-/// The sessionizer walk over a (client, start, duration)-ordered index
-/// slice; appends the sessions it closes to `out`.
-void sessionize_ordered(const trace& t,
-                        const std::vector<std::uint32_t>& order,
-                        seconds_t timeout, std::vector<session>& out) {
-    const auto& recs = t.records();
-    session current;
-    bool open = false;
-    auto flush = [&]() {
-        if (open) out.push_back(std::move(current));
-        open = false;
+/// Records partitioned into shards by client-id range: shard s holds keys
+/// [bounds[s], bounds[s+1]), every record of a client lands in one shard,
+/// and the shards in order cover ascending client ids. Within a shard the
+/// keys start in record order; sort_shard puts them in timeline order.
+struct timeline {
+    std::unique_ptr<timeline_key[]> keys;
+    std::vector<std::size_t> bounds;
+    time_codec codec;
+
+    std::span<timeline_key> shard(std::size_t s) const {
+        return {keys.get() + bounds[s], keys.get() + bounds[s + 1]};
+    }
+};
+
+/// Splits `recs` into one client-id range per pool lane, holding
+/// balanced record counts. A histogram of client ids (rebased at the
+/// minimum, bucketed by the top bits of the range, about one bucket per
+/// record of a shard) is cut where its running count crosses each
+/// multiple of n / nshards; a bucket, and so a client, is never split, so
+/// one huge client leaves its shard oversized and others empty. Each
+/// record chunk then scatters its keys into every shard at a prefix-sum
+/// offset, so each shard's keys keep record order.
+timeline partition_timeline(std::span<const log_record> recs,
+                            thread_pool& pool) {
+    const std::size_t n = recs.size();
+    const std::size_t nshards = pool.size();
+    // Smallest and largest client, start and duration (as radix keys).
+    struct extent {
+        client_id min_c = ~client_id{0}, max_c = 0;
+        std::uint64_t min_s = ~0ULL, max_s = 0, min_d = ~0ULL, max_d = 0;
+        void add(const extent& o) {
+            min_c = std::min(min_c, o.min_c);
+            max_c = std::max(max_c, o.max_c);
+            min_s = std::min(min_s, o.min_s);
+            max_s = std::max(max_s, o.max_s);
+            min_d = std::min(min_d, o.min_d);
+            max_d = std::max(max_d, o.max_d);
+        }
     };
-
-    for (std::uint32_t i : order) {
-        const log_record& r = recs[i];
-        const bool new_session =
-            !open || r.client != current.client ||
-            r.start - current.end > timeout;
-        if (new_session) {
-            flush();
-            current = session{};
-            current.client = r.client;
-            current.start = r.start;
-            current.end = r.end();
-            open = true;
-        } else {
-            current.end = std::max(current.end, r.end());
-        }
-        ++current.num_transfers;
-        current.transfer_starts.push_back(r.start);
-        current.transfer_ends.push_back(r.end());
-        current.transfer_objects.push_back(r.object);
+    const extent all = map_reduce_shards(
+        pool, n, extent{},
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+            extent e;
+            for (std::size_t i = lo; i < hi; ++i) {
+                const std::uint64_t s = radix_key_i64(recs[i].start);
+                const std::uint64_t d = radix_key_i64(recs[i].duration);
+                e.add({recs[i].client, recs[i].client, s, s, d, d});
+            }
+            return e;
+        },
+        [](extent a, const extent& b) {
+            a.add(b);
+            return a;
+        });
+    timeline tl;
+    tl.keys = std::make_unique_for_overwrite<timeline_key[]>(n);
+    if (n > 0) {
+        tl.codec.min_s = all.min_s;
+        tl.codec.min_d = all.min_d;
+        const auto bits = [](std::uint64_t range) {
+            return static_cast<int>(std::bit_width(range));
+        };
+        tl.codec.dur_bits = bits(all.max_d - all.min_d);
+        tl.codec.packed = bits(all.max_s - all.min_s) + tl.codec.dur_bits <= 63;
     }
-    flush();
+
+    // chunk_counts[c * nshards + s]: records of chunk c bound for shard s.
+    std::vector<std::uint32_t> bucket_shard;
+    std::vector<std::size_t> chunk_counts(nshards * nshards, 0);
+    const int bucket_bits =
+        std::clamp(static_cast<int>(std::bit_width(n / nshards)), 1, 16);
+    const int shift = std::max(
+        0, static_cast<int>(std::bit_width(all.max_c - all.min_c)) -
+               bucket_bits);
+    const auto bucket = [&](client_id c) {
+        return static_cast<std::size_t>((c - all.min_c) >> shift);
+    };
+    if (nshards == 1) {
+        chunk_counts[0] = n;
+    } else {
+        const std::size_t nbuckets = std::size_t{1} << bucket_bits;
+        std::vector<std::uint32_t> hist(nshards * nbuckets, 0);
+        pool.run_shards(nshards, [&](std::size_t c) {
+            const auto [lo, hi] = shard_bounds(n, nshards, c);
+            std::uint32_t* h = hist.data() + c * nbuckets;
+            for (std::size_t i = lo; i < hi; ++i) ++h[bucket(recs[i].client)];
+        });
+        bucket_shard.resize(nbuckets);
+        std::size_t s = 0;
+        std::size_t seen = 0;
+        for (std::size_t b = 0; b < nbuckets; ++b) {
+            bucket_shard[b] = static_cast<std::uint32_t>(s);
+            for (std::size_t c = 0; c < nshards; ++c) {
+                const std::uint32_t k = hist[c * nbuckets + b];
+                chunk_counts[c * nshards + s] += k;
+                seen += k;
+            }
+            while (s + 1 < nshards && seen * nshards >= (s + 1) * n) ++s;
+        }
+    }
+
+    // Shard bounds, then each chunk's write cursor inside every shard.
+    tl.bounds.assign(nshards + 1, 0);
+    std::vector<std::size_t> cursor(nshards * nshards);
+    for (std::size_t s = 0; s < nshards; ++s) {
+        std::size_t at = tl.bounds[s];
+        for (std::size_t c = 0; c < nshards; ++c) {
+            cursor[c * nshards + s] = at;
+            at += chunk_counts[c * nshards + s];
+        }
+        tl.bounds[s + 1] = at;
+    }
+    pool.run_shards(nshards, [&](std::size_t c) {
+        const auto [lo, hi] = shard_bounds(n, nshards, c);
+        std::size_t* at = cursor.data() + c * nshards;
+        for (std::size_t i = lo; i < hi; ++i) {
+            const log_record& r = recs[i];
+            const std::size_t s =
+                nshards == 1 ? 0 : bucket_shard[bucket(r.client)];
+            tl.keys[at[s]++] = timeline_key{tl.codec.time(r), r.client,
+                                            static_cast<std::uint32_t>(i),
+                                            r.object};
+        }
+    });
+    return tl;
 }
 
-/// Shard assignment for a client id: a splitmix64-style finalizer so that
-/// dense id ranges spread evenly across shards.
-std::size_t client_shard(client_id id, std::size_t nshards) {
-    std::uint64_t z = id + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>((z ^ (z >> 31)) % nshards);
+/// Sorts one shard into timeline order: (client, start, duration), exact
+/// ties in record order. The LSD radix passes are stable, so sorting by
+/// the time word and then by client composes to the full order.
+void sort_shard(const timeline& tl, std::size_t s,
+                std::span<const log_record> recs) {
+    const std::span<timeline_key> keys = tl.shard(s);
+    const auto scratch =
+        std::make_unique_for_overwrite<timeline_key[]>(keys.size());
+    const std::span<timeline_key> buf(scratch.get(), keys.size());
+    if (!tl.codec.packed) {
+        radix_sort_by_u64(keys, buf, [&](const timeline_key& k) {
+            return tl.codec.rebased_duration(recs[k.record]);
+        });
+    }
+    radix_sort_by_u64(keys, buf,
+                      [](const timeline_key& k) { return k.time; });
+    radix_sort_by_u64(keys, buf,
+                      [](const timeline_key& k) { return k.client; });
+}
+
+/// The sessionizer walk, shared by every path. Visits one sorted shard; a
+/// transfer opens a new session when its client differs from the open
+/// session's or its start lies more than `timeout` past the latest end of
+/// the session so far. With `out` it writes session heads from index
+/// `first_session` and transfers from column offset tl.bounds[s]; either
+/// way it returns the number of sessions.
+std::size_t walk_shard(const timeline& tl, std::size_t s,
+                       std::span<const log_record> recs, seconds_t timeout,
+                       const session_table_writer* out,
+                       std::size_t first_session) {
+    const std::span<const timeline_key> keys = tl.shard(s);
+    session_table::head* h = out != nullptr
+                                 ? out->heads + first_session
+                                 : nullptr;
+    std::size_t sessions = 0;
+    client_id client = 0;
+    seconds_t end = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const timeline_key& k = keys[i];
+        const seconds_t start = tl.codec.start(k);
+        const seconds_t e = start + tl.codec.duration(k, recs);
+        const std::size_t at = tl.bounds[s] + i;
+        if (sessions == 0 || k.client != client || start - end > timeout) {
+            client = k.client;
+            end = e;
+            if (h != nullptr) h[sessions] = {client, start, end, at};
+            ++sessions;
+        } else {
+            end = std::max(end, e);
+            if (h != nullptr) h[sessions - 1].end = end;
+        }
+        if (out != nullptr) {
+            out->starts[at] = start;
+            out->ends[at] = e;
+            out->objects[at] = k.object;
+        }
+    }
+    return sessions;
+}
+
+/// One sorted shard holding every record: the serial counting paths.
+timeline serial_timeline(std::span<const log_record> recs) {
+    LSM_EXPECTS(recs.size() < 0xFFFFFFFFULL);
+    thread_pool serial(1);
+    timeline tl = partition_timeline(recs, serial);
+    sort_shard(tl, 0, recs);
+    return tl;
 }
 
 }  // namespace
 
 std::vector<seconds_t> session_set::off_times() const {
     std::vector<seconds_t> offs;
-    for (std::size_t i = 0; i + 1 < sessions.size(); ++i) {
-        if (sessions[i].client != sessions[i + 1].client) continue;
-        const seconds_t off = sessions[i + 1].start - sessions[i].end;
+    const auto heads = sessions.heads();
+    for (std::size_t i = 0; i + 1 < heads.size(); ++i) {
+        if (heads[i].client != heads[i + 1].client) continue;
         // By construction of the sessionizer this exceeds the timeout.
-        offs.push_back(off);
+        offs.push_back(heads[i + 1].start - heads[i].end);
     }
     return offs;
 }
 
 std::vector<std::size_t> session_set::order_by_start() const {
-    std::vector<std::size_t> idx(sessions.size());
-    std::iota(idx.begin(), idx.end(), std::size_t{0});
-    const auto key = [&](std::size_t i, int w) -> std::uint64_t {
-        return w == 0 ? sessions[i].client
-                      : radix_key_i64(sessions[i].start);
+    // Sessions are (client, start)-sorted, so a stable sort by start alone
+    // yields (start, client) order, ties in index order.
+    struct keyed {
+        std::uint64_t start;
+        std::size_t index;
     };
-    radix_sort_by_words(idx, 2, key);
+    const auto heads = sessions.heads();
+    std::vector<keyed> v(heads.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        v[i] = {radix_key_i64(heads[i].start), i};
+    }
+    std::vector<keyed> scratch;
+    radix_sort_by_u64(v, scratch, [](const keyed& k) { return k.start; });
+    std::vector<std::size_t> idx(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) idx[i] = v[i].index;
     return idx;
 }
 
-session_set build_sessions(const trace& t, seconds_t timeout) {
+session_set build_sessions(std::span<const log_record> recs,
+                           seconds_t timeout, thread_pool& pool,
+                           obs::registry* metrics) {
     LSM_EXPECTS(timeout >= 0);
-    session_set out;
-    out.timeout = timeout;
-    if (t.empty()) return out;
-
-    const auto order = client_timeline_order(t);
-    sessionize_ordered(t, order, timeout, out.sessions);
-    LSM_ENSURES(!out.sessions.empty());
-    return out;
-}
-
-session_set build_sessions(const trace& t, seconds_t timeout,
-                           thread_pool& pool, obs::registry* metrics) {
-    LSM_EXPECTS(timeout >= 0);
-    const std::size_t nshards = pool.size();
-    if (nshards <= 1 || t.size() < 2) {
-        obs::scoped_timer t_seq(metrics, "characterize/sessionize");
-        // The whole trace is one shard here, so the shard-size histogram
-        // stays comparable across thread counts.
-        obs::observe(metrics, "characterize/sessionize/shard_records",
-                     obs::histogram::exponential_bounds(1024.0, 4.0, 10),
-                     static_cast<double>(t.size()));
-        session_set out = build_sessions(t, timeout);
-        obs::add_counter(metrics, "characterize/sessionize/sessions_built",
-                         out.sessions.size());
-        return out;
-    }
-    LSM_EXPECTS(t.size() < 0xFFFFFFFFULL);
-
+    LSM_EXPECTS(recs.size() < 0xFFFFFFFFULL);
     obs::scoped_timer t_all(metrics, "characterize/sessionize");
-    session_set out;
-    out.timeout = timeout;
-
-    // Partition record indices by hash(client): every record of a client
-    // lands in the same shard, so each shard sees complete timelines and
-    // sessionizes them independently of the others.
-    const auto& recs = t.records();
-    std::vector<std::vector<std::uint32_t>> shard_idx(nshards);
+    const std::size_t nshards = pool.size();
+    timeline tl;
     {
         obs::scoped_timer t_part(metrics, "partition");
-        for (auto& v : shard_idx) v.reserve(t.size() / nshards + 1);
-        for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(t.size());
-             ++i) {
-            shard_idx[client_shard(recs[i].client, nshards)].push_back(i);
-        }
+        tl = partition_timeline(recs, pool);
     }
     if (metrics != nullptr) {
         auto& h = metrics->get_histogram(
             "characterize/sessionize/shard_records",
             obs::histogram::exponential_bounds(1024.0, 4.0, 10));
-        for (const auto& v : shard_idx) {
-            h.observe(static_cast<double>(v.size()));
+        for (std::size_t s = 0; s < nshards; ++s) {
+            h.observe(static_cast<double>(tl.bounds[s + 1] - tl.bounds[s]));
         }
     }
 
-    // Flow arrows from each shard's slice to the merge that consumes
-    // it, so trace viewers show the cross-thread hand-off. Ids are
-    // allocated up front; a dropped start zeroes its id so the finish
-    // is skipped.
-    obs::tracer* const tracer = obs::tracer::global();
-    std::vector<std::uint64_t> flow_ids(
-        tracer != nullptr ? nshards : std::size_t{0}, 0);
-    for (std::uint64_t& id : flow_ids) id = tracer->new_flow_id();
-
-    std::vector<std::vector<session>> shard_sessions(nshards);
-    {
-        obs::scoped_timer t_shards(metrics, "shards");
-        pool.run_shards(nshards, [&](std::size_t shard) {
-            sort_client_timeline(t, shard_idx[shard]);
-            sessionize_ordered(t, shard_idx[shard], timeout,
-                               shard_sessions[shard]);
-            if (tracer != nullptr &&
-                !tracer->flow_start("sessionize shard->merge",
-                                    flow_ids[shard])) {
-                flow_ids[shard] = 0;
-            }
-        });
-    }
-
-    // Merge back into the canonical (client, start) order. Each shard's
-    // output is already (client, start)-sorted — the sessionizer emits in
-    // timeline order — and a client lives in exactly one shard with
-    // distinct starts, so (client, start) is globally unique and a k-way
-    // merge of the shard heads reproduces the sequential build exactly,
-    // in linear time instead of a full re-sort.
-    obs::scoped_timer t_merge(metrics, "merge");
-    if (tracer != nullptr) {
-        for (std::uint64_t id : flow_ids) {
-            if (id != 0) {
-                tracer->flow_finish("sessionize shard->merge", id);
-            }
-        }
-    }
-    std::size_t total = 0;
-    for (const auto& v : shard_sessions) total += v.size();
-    out.sessions.reserve(total);
-
-    // Heads of the non-empty shards, ordered as a min-heap on the merge
-    // key; nshards is small (pool size), so heap ops are cheap.
-    struct head {
-        client_id client;
-        seconds_t start;
-        std::uint32_t shard;
-    };
-    const auto head_after = [](const head& a, const head& b) {
-        return std::tuple(a.client, a.start) > std::tuple(b.client, b.start);
-    };
-    std::vector<head> heap;
-    std::vector<std::size_t> pos(nshards, 0);
-    heap.reserve(nshards);
-    for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(nshards); ++s) {
-        if (!shard_sessions[s].empty()) {
-            const session& first = shard_sessions[s].front();
-            heap.push_back(head{first.client, first.start, s});
-        }
-    }
-    std::make_heap(heap.begin(), heap.end(), head_after);
-    while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), head_after);
-        const std::uint32_t s = heap.back().shard;
-        heap.pop_back();
-        auto& src = shard_sessions[s];
-        out.sessions.push_back(std::move(src[pos[s]]));
-        if (++pos[s] < src.size()) {
-            const session& next = src[pos[s]];
-            heap.push_back(head{next.client, next.start, s});
-            std::push_heap(heap.begin(), heap.end(), head_after);
-        }
-    }
-    LSM_ENSURES(out.sessions.size() == total);
-    LSM_ENSURES(!out.sessions.empty());
+    // Each shard sorts and counts its sessions; the prefix sum of the
+    // counts places every shard's heads, and the shard bounds its
+    // transfers, so the walk writes straight into the final columns.
+    session_set out;
+    out.timeout = timeout;
+    obs::scoped_timer t_shards(metrics, "shards");
+    std::vector<std::size_t> first(nshards + 1, 0);
+    pool.run_shards(nshards, [&](std::size_t s) {
+        sort_shard(tl, s, recs);
+        first[s + 1] = walk_shard(tl, s, recs, timeout, nullptr, 0);
+    });
+    std::partial_sum(first.begin(), first.end(), first.begin());
+    const session_table_writer w =
+        session_table_writer::sized(out.sessions, first.back(), recs.size());
+    pool.run_shards(nshards, [&](std::size_t s) {
+        walk_shard(tl, s, recs, timeout, &w, first[s]);
+    });
     obs::add_counter(metrics, "characterize/sessionize/sessions_built",
                      out.sessions.size());
     return out;
+}
+
+session_set build_sessions(const trace& t, seconds_t timeout) {
+    thread_pool serial(1);
+    return build_sessions(t.records(), timeout, serial);
+}
+
+session_set build_sessions(const trace& t, seconds_t timeout,
+                           thread_pool& pool, obs::registry* metrics) {
+    return build_sessions(t.records(), timeout, pool, metrics);
 }
 
 namespace {
@@ -278,7 +389,7 @@ namespace {
 /// Joins a numeric list with ';' — the in-row list separator of the
 /// session CSV (',' separates columns).
 template <typename T>
-void write_joined(std::ostream& out, const std::vector<T>& v) {
+void write_joined(std::ostream& out, std::span<const T> v) {
     for (std::size_t i = 0; i < v.size(); ++i) {
         if (i != 0) out << ';';
         out << v[i];
@@ -319,41 +430,17 @@ void write_sessions_csv_file(const session_set& s,
 
 std::uint64_t count_sessions(const trace& t, seconds_t timeout) {
     LSM_EXPECTS(timeout >= 0);
-    if (t.empty()) return 0;
-    const auto order = client_timeline_order(t);
-    const auto& recs = t.records();
-    std::uint64_t count = 0;
-    client_id cur_client = 0;
-    seconds_t cur_end = 0;
-    bool open = false;
-    for (std::uint32_t i : order) {
-        const log_record& r = recs[i];
-        if (!open || r.client != cur_client || r.start - cur_end > timeout) {
-            ++count;
-            cur_client = r.client;
-            cur_end = r.end();
-            open = true;
-        } else {
-            cur_end = std::max(cur_end, r.end());
-        }
-    }
-    return count;
+    const auto recs = std::span<const log_record>(t.records());
+    return walk_shard(serial_timeline(recs), 0, recs, timeout, nullptr, 0);
 }
 
 std::vector<std::uint64_t> session_count_sweep(
     const trace& t, const std::vector<seconds_t>& timeouts) {
+    for (seconds_t timeout : timeouts) LSM_EXPECTS(timeout >= 0);
+    const auto recs = std::span<const log_record>(t.records());
+    const timeline tl = serial_timeline(recs);
     std::vector<std::uint64_t> counts;
     counts.reserve(timeouts.size());
-    if (t.empty()) {
-        for (seconds_t timeout : timeouts) {
-            LSM_EXPECTS(timeout >= 0);
-            (void)timeout;
-            counts.push_back(0);
-        }
-        return counts;
-    }
-    const auto order = client_timeline_order(t);
-    const auto& recs = t.records();
 
     // With non-negative durations the walk's running end — max end over
     // the client's records seen so far — is the same no matter where the
@@ -364,62 +451,37 @@ std::vector<std::uint64_t> session_count_sweep(
     // answered for every sweep point from one sorted gap list. A negative
     // duration breaks that invariant, so such traces (never produced by a
     // sanitized pipeline) take the naive per-timeout walk instead.
-    bool any_negative_duration = false;
-    for (const log_record& r : recs) {
-        if (r.duration < 0) {
-            any_negative_duration = true;
-            break;
-        }
-    }
-    if (!any_negative_duration) {
-        std::vector<seconds_t> gaps;
-        gaps.reserve(recs.size());
-        std::uint64_t num_clients = 0;
-        client_id cur_client = 0;
-        seconds_t cur_end = 0;
-        bool open = false;
-        for (std::uint32_t i : order) {
-            const log_record& r = recs[i];
-            if (!open || r.client != cur_client) {
-                ++num_clients;
-                cur_client = r.client;
-                cur_end = r.end();
-                open = true;
-            } else {
-                gaps.push_back(r.start - cur_end);
-                cur_end = std::max(cur_end, r.end());
-            }
-        }
-        radix_sort_i64(gaps);
+    const bool any_negative_duration =
+        std::any_of(recs.begin(), recs.end(),
+                    [](const log_record& r) { return r.duration < 0; });
+    if (any_negative_duration) {
         for (seconds_t timeout : timeouts) {
-            LSM_EXPECTS(timeout >= 0);
-            const auto it =
-                std::upper_bound(gaps.begin(), gaps.end(), timeout);
-            counts.push_back(num_clients +
-                             static_cast<std::uint64_t>(gaps.end() - it));
+            counts.push_back(walk_shard(tl, 0, recs, timeout, nullptr, 0));
         }
         return counts;
     }
-
-    for (seconds_t timeout : timeouts) {
-        LSM_EXPECTS(timeout >= 0);
-        std::uint64_t count = 0;
-        client_id cur_client = 0;
-        seconds_t cur_end = 0;
-        bool open = false;
-        for (std::uint32_t i : order) {
-            const log_record& r = recs[i];
-            if (!open || r.client != cur_client ||
-                r.start - cur_end > timeout) {
-                ++count;
-                cur_client = r.client;
-                cur_end = r.end();
-                open = true;
-            } else {
-                cur_end = std::max(cur_end, r.end());
-            }
+    std::vector<seconds_t> gaps;
+    gaps.reserve(recs.size());
+    std::uint64_t num_clients = 0;
+    client_id cur_client = 0;
+    seconds_t cur_end = 0;
+    for (const timeline_key& k : tl.shard(0)) {
+        const seconds_t start = tl.codec.start(k);
+        const seconds_t end = start + tl.codec.duration(k, recs);
+        if (num_clients == 0 || k.client != cur_client) {
+            ++num_clients;
+            cur_client = k.client;
+            cur_end = end;
+        } else {
+            gaps.push_back(start - cur_end);
+            cur_end = std::max(cur_end, end);
         }
-        counts.push_back(count);
+    }
+    radix_sort_i64(gaps);
+    for (seconds_t timeout : timeouts) {
+        const auto it = std::upper_bound(gaps.begin(), gaps.end(), timeout);
+        counts.push_back(num_clients +
+                         static_cast<std::uint64_t>(gaps.end() - it));
     }
     return counts;
 }

@@ -8,8 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <numeric>
-#include <queue>
 #include <random>
 #include <thread>
 #include <tuple>
@@ -72,91 +70,29 @@ std::string finish_spill_run(std::string&& payload, std::uint64_t count) {
     return out;
 }
 
-/// Serializes the chunk records selected by `idx` (in idx order) into a
-/// complete run file image.
-std::string encode_run_from_chunk(const std::vector<log_record>& chunk,
-                                  const std::vector<std::uint32_t>& idx) {
+/// Transfer i of session s as the record it was built from.
+log_record transfer_record(const session& s, std::size_t i) {
+    return {.client = s.client,
+            .object = s.transfer_objects[i],
+            .start = s.transfer_starts[i],
+            .duration = s.transfer_ends[i] - s.transfer_starts[i]};
+}
+
+/// Serializes the transfers of `sorted` — a chunk run through the
+/// sessionizer, whose columns list the transfers in timeline order — into
+/// a complete run file image.
+std::string encode_run(const session_table& sorted) {
+    const std::size_t n = sorted.transfer_starts().size();
     std::string payload;
-    payload.reserve(idx.size() * k_spill_record_bytes);
-    for (std::uint32_t i : idx) {
-        const log_record& r = chunk[i];
-        pack_spill_record(payload,
-                          spill_record{r.client, r.start, r.duration,
-                                       r.object});
-    }
-    return finish_spill_run(std::move(payload), idx.size());
-}
-
-/// Shard assignment for a client id — the same splitmix64 finalizer the
-/// in-memory sessionizer uses, so spill shards balance identically.
-/// (Correctness only needs per-client consistency; any hash would do.)
-std::size_t client_shard(client_id id, std::size_t nshards) {
-    std::uint64_t z = id + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>((z ^ (z >> 31)) % nshards);
-}
-
-/// The sessionizer walk, emit-based: identical session-boundary logic
-/// to session_builder's sessionize_ordered, fed one record at a time in
-/// global (client, start, duration) order.
-class session_walk {
-public:
-    explicit session_walk(seconds_t timeout,
-                          const std::function<void(const session&)>& emit)
-        : timeout_(timeout), emit_(emit) {}
-
-    void feed(const spill_record& r) {
-        const bool new_session = !open_ || r.client != current_.client ||
-                                 r.start - current_.end > timeout_;
-        if (new_session) {
-            flush();
-            current_ = session{};
-            current_.client = r.client;
-            current_.start = r.start;
-            current_.end = r.end();
-            open_ = true;
-        } else {
-            current_.end = std::max(current_.end, r.end());
+    payload.reserve(n * k_spill_record_bytes);
+    for (const session& s : sorted) {
+        for (std::size_t i = 0; i < s.num_transfers; ++i) {
+            const log_record r = transfer_record(s, i);
+            pack_spill_record(payload, {r.client, r.start, r.duration,
+                                        r.object});
         }
-        ++current_.num_transfers;
-        current_.transfer_starts.push_back(r.start);
-        current_.transfer_ends.push_back(r.end());
-        current_.transfer_objects.push_back(r.object);
     }
-
-    void finish() { flush(); }
-
-    std::uint64_t sessions_emitted() const { return emitted_; }
-
-private:
-    void flush() {
-        if (open_) {
-            emit_(current_);
-            ++emitted_;
-        }
-        open_ = false;
-    }
-
-    seconds_t timeout_;
-    const std::function<void(const session&)>& emit_;
-    session current_;
-    bool open_ = false;
-    std::uint64_t emitted_ = 0;
-};
-
-/// Stable (client, start, duration) order over `recs` — what the radix
-/// path of session_builder's sort produces, including tie order.
-void stable_timeline_order(const std::vector<log_record>& recs,
-                           std::vector<std::uint32_t>& idx) {
-    std::stable_sort(
-        idx.begin(), idx.end(),
-        [&](std::uint32_t a, std::uint32_t b) {
-            return std::tuple(recs[a].client, recs[a].start,
-                              recs[a].duration) <
-                   std::tuple(recs[b].client, recs[b].start,
-                              recs[b].duration);
-        });
+    return finish_spill_run(std::move(payload), n);
 }
 
 /// Background run writer — the flusher-thread pattern: the sort loop
@@ -363,24 +299,6 @@ private:
     std::size_t blen_ = 0;
 };
 
-/// In-memory tail of the pipeline, for inputs that fit the budget:
-/// stable sort + walk, no disk. Matches build_sessions output exactly.
-void sessionize_in_memory(const std::vector<log_record>& recs,
-                          seconds_t timeout,
-                          const std::function<void(const session&)>& emit,
-                          obs::registry* metrics) {
-    obs::scoped_timer t_mem(metrics, "in_memory");
-    std::vector<std::uint32_t> idx(recs.size());
-    std::iota(idx.begin(), idx.end(), 0U);
-    stable_timeline_order(recs, idx);
-    session_walk walk(timeout, emit);
-    for (std::uint32_t i : idx) {
-        const log_record& r = recs[i];
-        walk.feed(spill_record{r.client, r.start, r.duration, r.object});
-    }
-    walk.finish();
-}
-
 }  // namespace
 
 std::string encode_spill_run(const std::vector<spill_record>& recs) {
@@ -494,7 +412,11 @@ void sessionize_spill(const record_source& source,
         obs::record_gauge_max(metrics,
                               "characterize/spill/resident_records",
                               static_cast<std::int64_t>(all.size()));
-        sessionize_in_memory(all, opts.timeout, emit, metrics);
+        obs::scoped_timer t_mem(metrics, "in_memory");
+        for (const session& s : build_sessions(all, opts.timeout, pool)
+                                    .sessions) {
+            emit(s);
+        }
         return;
     }
 
@@ -521,7 +443,11 @@ void sessionize_spill(const record_source& source,
                           static_cast<std::int64_t>(n));
     if (n < budget) {
         // The whole input fit in one underfull chunk; no spill needed.
-        sessionize_in_memory(chunk, opts.timeout, emit, metrics);
+        obs::scoped_timer t_mem(metrics, "in_memory");
+        for (const session& s : build_sessions(chunk, opts.timeout, pool)
+                                    .sessions) {
+            emit(s);
+        }
         return;
     }
 
@@ -529,10 +455,7 @@ void sessionize_spill(const record_source& source,
         opts.spill_dir.empty()
             ? std::filesystem::temp_directory_path().string()
             : opts.spill_dir;
-    const std::size_t nshards = std::max<std::size_t>(1, pool.size());
     spill_writer writer(dir, metrics);
-    std::vector<std::vector<std::uint32_t>> shard_idx(nshards);
-    std::vector<std::string> shard_img(nshards);
     std::uint64_t chunks = 0;
     std::uint64_t total_records = 0;
 
@@ -540,31 +463,17 @@ void sessionize_spill(const record_source& source,
         obs::record_gauge_max(metrics,
                               "characterize/spill/resident_records",
                               static_cast<std::int64_t>(n));
+        std::string image;
         {
+            // The sessionizer's columns list the chunk's transfers in
+            // timeline order: that is the sorted run.
             obs::scoped_timer t_sort(metrics, "chunk_sort");
-            for (auto& v : shard_idx) v.clear();
-            for (std::uint32_t i = 0;
-                 i < static_cast<std::uint32_t>(n); ++i) {
-                shard_idx[client_shard(chunk[i].client, nshards)]
-                    .push_back(i);
-            }
-            pool.run_shards(nshards, [&](std::size_t s) {
-                stable_timeline_order(chunk, shard_idx[s]);
-                shard_img[s] = shard_idx[s].empty()
-                                   ? std::string{}
-                                   : encode_run_from_chunk(chunk,
-                                                           shard_idx[s]);
-            });
+            image = encode_run(
+                build_sessions(chunk, opts.timeout, pool).sessions);
         }
-        // Enqueue in shard order: run indices then increase with
-        // (chunk, shard), and since a client's records occupy one shard
-        // per chunk, run order restores input order for equal sort keys.
-        for (std::size_t s = 0; s < nshards; ++s) {
-            if (!shard_img[s].empty()) {
-                obs::scoped_timer t_q(metrics, "spill_enqueue");
-                writer.enqueue(std::move(shard_img[s]));
-                shard_img[s].clear();
-            }
+        {
+            obs::scoped_timer t_q(metrics, "spill_enqueue");
+            writer.enqueue(std::move(image));
         }
         ++chunks;
         total_records += n;
@@ -577,10 +486,9 @@ void sessionize_spill(const record_source& source,
                      total_records);
     obs::add_counter(metrics, "characterize/spill/runs", runs.size());
 
-    // K-way merge of the sorted runs, tie-broken by run index, through
-    // the sessionizer walk. The merged stream is the global stable
-    // (client, start, duration) order, so sessions close in canonical
-    // (client, start) order.
+    // K-way merge of the sorted runs, tie-broken by run index. Runs are
+    // numbered in chunk order, so the merged stream is the global stable
+    // (client, start, duration) order of the input.
     obs::scoped_timer t_merge(metrics, "merge");
     std::vector<run_cursor> cursors;
     cursors.reserve(runs.size());
@@ -605,25 +513,50 @@ void sessionize_spill(const record_source& source,
     }
     std::make_heap(heap.begin(), heap.end(), head_after);
 
-    session_walk walk(opts.timeout, emit);
+    // The merged stream goes through the sessionizer in batches of about
+    // `budget` records, reusing the chunk buffer. A batch's sessions are
+    // complete except its last, which may go on in the next batch, so
+    // that session's transfers start the next batch. Re-walking them from
+    // its first transfer gives the same session, since that transfer
+    // opens one either way.
+    chunk.clear();
+    std::size_t carried = 0;
+    std::uint64_t emitted = 0;
+    const auto flush = [&](bool last) {
+        const session_set batch = build_sessions(chunk, opts.timeout, pool);
+        const std::size_t done = batch.sessions.size() - (last ? 0 : 1);
+        for (std::size_t i = 0; i < done; ++i) emit(batch.sessions[i]);
+        emitted += done;
+        if (last) return;
+        const session open = batch.sessions[done];
+        chunk.clear();
+        for (std::size_t i = 0; i < open.num_transfers; ++i) {
+            chunk.push_back(transfer_record(open, i));
+        }
+        carried = chunk.size();
+    };
     std::uint64_t merged = 0;
     while (!heap.empty()) {
         std::pop_heap(heap.begin(), heap.end(), head_after);
         head h = heap.back();
         heap.pop_back();
-        walk.feed(h.rec);
+        chunk.push_back({.client = h.rec.client,
+                         .object = h.rec.object,
+                         .start = h.rec.start,
+                         .duration = h.rec.duration});
         ++merged;
+        if (chunk.size() >= std::max(budget, 2 * carried)) flush(false);
         if (cursors[h.run].next(h.rec)) {
             heap.push_back(h);
             std::push_heap(heap.begin(), heap.end(), head_after);
         }
     }
-    walk.finish();
+    flush(true);
     LSM_ENSURES(merged == total_records);
     obs::add_counter(metrics, "characterize/spill/merged_records",
                      merged);
     obs::add_counter(metrics, "characterize/spill/sessions_emitted",
-                     walk.sessions_emitted());
+                     emitted);
     // `writer` goes out of scope here and removes the run files.
 }
 

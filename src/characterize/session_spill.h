@@ -8,19 +8,20 @@
 //
 //   1. CHUNK   — pull at most `max_resident_records` records from the
 //                source into the only full-width resident buffer;
-//   2. SORT    — shard the chunk by hash(client) across the pool (a
-//                client's records land in one shard) and stable-sort
-//                each shard by (client, start, duration), the exact
-//                order build_sessions' radix sort produces;
-//   3. SPILL   — serialize each sorted shard to a compact run record
-//                (client, start, duration, object — all the sessionizer
-//                walk consumes) and hand it to a background writer
-//                thread, so run I/O overlaps the next chunk's sort;
+//   2. SORT    — run the chunk through build_sessions on the pool; its
+//                transfer columns list the chunk in stable (client,
+//                start, duration) order, the order every path walks;
+//   3. SPILL   — serialize that order to one compact run (client, start,
+//                duration, object — all the sessionizer walk consumes)
+//                and hand it to a background writer thread, so run I/O
+//                overlaps the next chunk's sort;
 //   4. MERGE   — k-way heap-merge all runs, breaking exact key ties by
 //                run index (runs are created in input order, so the
 //                tie-break restores the global stable sort), and feed
-//                the merged stream through the same sessionizer walk,
-//                emitting each session as it closes.
+//                the merged stream through build_sessions in batches of
+//                about a budget of records, emitting each session once
+//                a later one has opened (the open last session of a
+//                batch starts the next batch).
 //
 // Because the merged stream equals the global stable (client, start,
 // duration) order of the input, the emitted session sequence is
@@ -30,7 +31,7 @@
 // FNV-1a-64 payload checksum, then packed 26-byte records).
 //
 // Inputs that fit the budget never touch disk: the first underfull
-// chunk short-circuits to an in-memory stable sort + walk.
+// chunk goes straight through build_sessions.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +52,7 @@ struct spill_options {
     /// Largest number of full-width log_records resident at once; the
     /// chunk size of the spill pipeline. 0 = unbounded (pure in-memory
     /// sort + walk, no spill). The merge holds one open cursor per run
-    /// (about records/budget x pool-size runs total), so the budget
+    /// (about records/budget runs total), so the budget
     /// should stay large enough to keep that fan-in under the process
     /// file-descriptor limit.
     std::size_t max_resident_records = 0;
@@ -75,7 +76,8 @@ using record_source =
 /// the sequence build_sessions(trace, timeout) produces from the same
 /// records, for every pool size. Sessions are emitted as they close, so
 /// callers can stream them to a file without materializing a
-/// session_set. Throws trace_io_error when a spill run cannot be
+/// session_set; an emitted session's spans are valid only during the
+/// call. Throws trace_io_error when a spill run cannot be
 /// written back or read back intact.
 void sessionize_spill(const record_source& source,
                       const spill_options& opts, thread_pool& pool,

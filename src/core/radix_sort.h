@@ -13,8 +13,10 @@
 // full lexicographic (hi, lo) order, exactly like a tuple comparator.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,15 +28,13 @@ inline std::uint64_t radix_key_i64(std::int64_t v) {
     return static_cast<std::uint64_t>(v) ^ (1ULL << 63);
 }
 
-/// Stable LSD radix sort of `v` by the unsigned 64-bit key `key_of(elem)`.
-/// `scratch` is resized as needed and may be reused across calls. Byte
-/// planes on which every key agrees are skipped entirely.
+/// Stable LSD radix sort of `v` by the unsigned 64-bit key `key_of(elem)`,
+/// using `scratch` (at least v.size() elements) as the ping-pong buffer.
+/// Byte planes on which every key agrees are skipped entirely.
 template <typename T, typename KeyFn>
-void radix_sort_by_u64(std::vector<T>& v, std::vector<T>& scratch,
-                       KeyFn key_of) {
+void radix_sort_by_u64(std::span<T> v, std::span<T> scratch, KeyFn key_of) {
     const std::size_t n = v.size();
     if (n < 2) return;
-    scratch.resize(n);
 
     // One sweep histograms all eight byte planes at once.
     std::uint32_t hist[8][256] = {};
@@ -67,21 +67,17 @@ void radix_sort_by_u64(std::vector<T>& v, std::vector<T>& scratch,
         }
         std::swap(src, dst);
     }
-    if (src != v.data()) {
-        for (std::size_t i = 0; i < n; ++i) v[i] = src[i];
-    }
+    if (src != v.data()) std::copy(src, src + n, v.data());
 }
 
-/// Stable radix sort by a multi-word key: `key_of(elem, w)` returns the
-/// w-th 64-bit word, word 0 least significant. Equivalent ordering to a
-/// tuple comparator over (word[words-1], ..., word[0]).
+/// Vector flavor: `scratch` is resized as needed and may be reused
+/// across calls.
 template <typename T, typename KeyFn>
-void radix_sort_by_words(std::vector<T>& v, int words, KeyFn key_of) {
-    std::vector<T> scratch;
-    for (int w = 0; w < words; ++w) {
-        radix_sort_by_u64(v, scratch,
-                          [&](const T& e) { return key_of(e, w); });
-    }
+void radix_sort_by_u64(std::vector<T>& v, std::vector<T>& scratch,
+                       KeyFn key_of) {
+    if (v.size() < 2) return;
+    scratch.resize(v.size());
+    radix_sort_by_u64(std::span<T>(v), std::span<T>(scratch), key_of);
 }
 
 /// Sorts a vector of unsigned 64-bit values ascending.

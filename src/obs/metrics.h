@@ -9,7 +9,7 @@
 //   * histogram — fixed bucket bounds chosen at registration; observe()
 //                 is a branch-free-ish search plus one relaxed increment;
 //   * span      — hierarchical wall-clock phase timings built by
-//                 scoped_timer (e.g. `characterize/sessionize/merge`).
+//                 scoped_timer (e.g. `characterize/sessionize/shards`).
 //
 // Naming scheme: `layer/phase/name`, slash-separated, e.g.
 // `world/records_emitted` or `characterize/sessionize/shard_records`.
@@ -200,7 +200,7 @@ public:
     std::vector<const span_node*> children() const;
 
     /// Slash-joined path from the root (the root itself contributes
-    /// nothing): "characterize/sessionize/merge".
+    /// nothing): "characterize/sessionize/shards".
     std::string path() const;
 
 private:

@@ -128,33 +128,6 @@ void tracer::instant(std::string_view name) noexcept {
     }
 }
 
-bool tracer::flow_start(std::string_view name, std::uint64_t id) noexcept {
-    try {
-        event e;
-        e.name.assign(name);
-        e.phase = 's';
-        e.flow_id = id;
-        e.ts_ns = now_ns();
-        return push(local_buffer(), std::move(e));
-    } catch (...) {
-        return false;
-    }
-}
-
-bool tracer::flow_finish(std::string_view name,
-                         std::uint64_t id) noexcept {
-    try {
-        event e;
-        e.name.assign(name);
-        e.phase = 'f';
-        e.flow_id = id;
-        e.ts_ns = now_ns();
-        return push(local_buffer(), std::move(e));
-    } catch (...) {
-        return false;
-    }
-}
-
 std::uint64_t tracer::dropped() const {
     std::lock_guard<std::mutex> lock(mutex_);
     std::uint64_t total = 0;
@@ -204,10 +177,6 @@ void tracer::write_json(std::ostream& out) const {
                 out << ",\"cat\":\"lsm\",\"name\":\"";
                 write_escaped(out, e.name);
                 out << '"';
-            }
-            if (e.phase == 's' || e.phase == 'f') {
-                out << ",\"id\":" << e.flow_id;
-                if (e.phase == 'f') out << ",\"bp\":\"e\"";
             }
             if (e.phase == 'i') out << ",\"s\":\"t\"";
             if (!e.args.empty()) out << ",\"args\":" << e.args;

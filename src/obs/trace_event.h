@@ -19,12 +19,6 @@
 // Tracing never feeds back into pipeline logic, so traced runs are
 // byte-identical to untraced runs (pinned by the determinism tests).
 //
-// Flow events ('s'/'f') stitch causally-linked slices across threads —
-// e.g. each sessionizer shard to the merge that consumes it. A flow id
-// is allocated with new_flow_id() and both ends must be emitted from
-// inside an enclosing slice on their respective threads, which is how
-// the viewers bind the arrows.
-//
 // Lifetime rules: flush (write_json*) only after instrumented work has
 // completed — it snapshots the buffers without stopping writers — and
 // keep the tracer installed for strictly longer than any slice that
@@ -75,14 +69,6 @@ public:
     /// One-off instant event ('i', thread scope).
     void instant(std::string_view name) noexcept;
 
-    /// Flow arrows. Emit both ends from inside an enclosing slice; skip
-    /// the finish if the start was dropped (returned false).
-    std::uint64_t new_flow_id() noexcept {
-        return next_flow_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-    bool flow_start(std::string_view name, std::uint64_t id) noexcept;
-    bool flow_finish(std::string_view name, std::uint64_t id) noexcept;
-
     /// Events dropped across all threads because a buffer was full.
     std::uint64_t dropped() const;
     /// Events currently buffered across all threads (flushed or not).
@@ -99,7 +85,6 @@ private:
         std::string name;  // empty for 'E'
         std::string args;  // pre-rendered JSON object, may be empty
         std::uint64_t ts_ns = 0;
-        std::uint64_t flow_id = 0;  // 0 = not a flow event
         char phase = 'B';
     };
 
@@ -124,7 +109,6 @@ private:
     const std::uint64_t instance_id_;
     const std::size_t capacity_;
     const std::chrono::steady_clock::time_point epoch_;
-    std::atomic<std::uint64_t> next_flow_id_{0};
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<thread_buffer>> buffers_;
 };

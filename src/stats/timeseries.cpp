@@ -99,19 +99,41 @@ std::vector<double> fold_series(std::span<const double> series,
 std::vector<double> autocorrelation(std::span<const double> series,
                                     std::size_t max_lag) {
     LSM_EXPECTS(series.size() > max_lag);
-    const auto n = static_cast<double>(series.size());
+    const std::size_t len = series.size();
+    const auto n = static_cast<double>(len);
     double m = 0.0;
     for (double x : series) m += x;
     m /= n;
+    std::vector<double> c(len);
+    for (std::size_t t = 0; t < len; ++t) c[t] = series[t] - m;
     double denom = 0.0;
-    for (double x : series) denom += (x - m) * (x - m);
+    for (double x : c) denom += x * x;
     LSM_EXPECTS(denom > 0.0);
     std::vector<double> acf(max_lag + 1, 0.0);
-    for (std::size_t l = 0; l <= max_lag; ++l) {
-        double num = 0.0;
-        for (std::size_t t = 0; t + l < series.size(); ++t) {
-            num += (series[t] - m) * (series[t + l] - m);
+    // Lags run in blocks that share one pass over the series. Each lag
+    // keeps its own accumulator and adds its terms in ascending t, as a
+    // one-lag loop would, so every value is bit-identical to that loop.
+    constexpr std::size_t block = 8;
+    std::size_t l0 = 0;
+    for (; l0 + block <= max_lag + 1; l0 += block) {
+        double num[block] = {};
+        // Up to `common` every lag of the block has a partner term.
+        const std::size_t common = len - (l0 + block - 1);
+        for (std::size_t t = 0; t < common; ++t) {
+            const double x = c[t];
+            const double* y = c.data() + t + l0;
+            for (std::size_t j = 0; j < block; ++j) num[j] += x * y[j];
         }
+        for (std::size_t j = 0; j < block; ++j) {
+            for (std::size_t t = common; t + l0 + j < len; ++t) {
+                num[j] += c[t] * c[t + l0 + j];
+            }
+            acf[l0 + j] = num[j] / denom;
+        }
+    }
+    for (std::size_t l = l0; l <= max_lag; ++l) {
+        double num = 0.0;
+        for (std::size_t t = 0; t + l < len; ++t) num += c[t] * c[t + l];
         acf[l] = num / denom;
     }
     return acf;

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "characterize/session_spill.h"
 #include "core/contracts.h"
 #include "core/parallel.h"
+#include "core/rng.h"
 
 namespace lsm::characterize {
 namespace {
@@ -267,33 +273,210 @@ TEST(SessionCountSweep, SingleClientSingleRecord) {
               (std::vector<std::uint64_t>{1, 1}));
 }
 
-TEST(SessionBuilder, ParallelMergeMatchesSequentialAcrossPoolSizes) {
-    trace t(1000000);
-    std::uint64_t s = 55;
-    for (int i = 0; i < 1200; ++i) {
-        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-        t.add(rec(1 + (s % 40), static_cast<seconds_t>(s % 400000),
-                  static_cast<seconds_t>(s % 2000)));
+// --- Differential tests against a test-local oracle --------------------
+
+/// A session as the oracle builds it, with owning transfer lists.
+struct oracle_session {
+    client_id client = 0;
+    seconds_t start = 0;
+    seconds_t end = 0;
+    std::vector<seconds_t> starts;
+    std::vector<seconds_t> ends;
+    std::vector<object_id> objects;
+};
+
+/// The sessionizer's contract, written the obvious way: a stable sort by
+/// (client, start, duration), then the gap walk.
+std::vector<oracle_session> oracle(const trace& t, seconds_t timeout) {
+    std::vector<log_record> recs = t.records();
+    std::stable_sort(recs.begin(), recs.end(),
+                     [](const log_record& a, const log_record& b) {
+                         return std::tuple(a.client, a.start, a.duration) <
+                                std::tuple(b.client, b.start, b.duration);
+                     });
+    std::vector<oracle_session> out;
+    for (const log_record& r : recs) {
+        if (out.empty() || r.client != out.back().client ||
+            r.start - out.back().end > timeout) {
+            out.push_back({r.client, r.start, r.end(), {}, {}, {}});
+        } else {
+            out.back().end = std::max(out.back().end, r.end());
+        }
+        out.back().starts.push_back(r.start);
+        out.back().ends.push_back(r.end());
+        out.back().objects.push_back(r.object);
     }
-    const auto sequential = build_sessions(t, 1500);
-    for (unsigned threads : {1U, 2U, 3U, 8U}) {
+    return out;
+}
+
+void expect_matches_oracle(const session_set& got,
+                           const std::vector<oracle_session>& want,
+                           const std::string& label) {
+    ASSERT_EQ(got.sessions.size(), want.size()) << label;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const session s = got.sessions[i];
+        const oracle_session& w = want[i];
+        ASSERT_EQ(s.client, w.client) << label << " session " << i;
+        ASSERT_EQ(s.start, w.start) << label << " session " << i;
+        ASSERT_EQ(s.end, w.end) << label << " session " << i;
+        ASSERT_EQ(s.num_transfers, w.starts.size())
+            << label << " session " << i;
+        ASSERT_TRUE(std::ranges::equal(s.transfer_starts, w.starts))
+            << label << " session " << i;
+        ASSERT_TRUE(std::ranges::equal(s.transfer_ends, w.ends))
+            << label << " session " << i;
+        ASSERT_TRUE(std::ranges::equal(s.transfer_objects, w.objects))
+            << label << " session " << i;
+    }
+}
+
+std::string sessions_csv(const session_set& s) {
+    std::ostringstream out;
+    write_sessions_csv(s, out);
+    return std::move(out).str();
+}
+
+/// Serial, pooled at every pool size, and spilled at small budgets: all
+/// must equal the oracle field for field and write the same CSV bytes.
+void expect_every_path_matches_oracle(const trace& t, seconds_t timeout) {
+    const auto want = oracle(t, timeout);
+    const session_set serial = build_sessions(t, timeout);
+    expect_matches_oracle(serial, want, "serial");
+    EXPECT_EQ(count_sessions(t, timeout), want.size());
+    const std::string csv = sessions_csv(serial);
+    for (unsigned threads : {1U, 2U, 3U, 4U, 8U}) {
         thread_pool pool(threads);
-        const auto parallel = build_sessions(t, 1500, pool);
-        ASSERT_EQ(parallel.sessions.size(), sequential.sessions.size())
-            << "threads=" << threads;
-        for (std::size_t i = 0; i < parallel.sessions.size(); ++i) {
-            ASSERT_EQ(parallel.sessions[i].client,
-                      sequential.sessions[i].client);
-            ASSERT_EQ(parallel.sessions[i].start,
-                      sequential.sessions[i].start);
-            ASSERT_EQ(parallel.sessions[i].end,
-                      sequential.sessions[i].end);
-            ASSERT_EQ(parallel.sessions[i].num_transfers,
-                      sequential.sessions[i].num_transfers);
-            ASSERT_EQ(parallel.sessions[i].transfer_starts,
-                      sequential.sessions[i].transfer_starts);
+        const std::string label = "threads=" + std::to_string(threads);
+        const session_set pooled = build_sessions(t, timeout, pool);
+        expect_matches_oracle(pooled, want, label);
+        EXPECT_EQ(sessions_csv(pooled), csv) << label;
+        for (std::size_t budget : {t.size() / 4 + 1, t.size() / 2 + 1}) {
+            spill_options opts;
+            opts.timeout = timeout;
+            opts.max_resident_records = budget;
+            opts.spill_dir = ::testing::TempDir();
+            const session_set spilled = build_sessions_spill(t, opts, pool);
+            const std::string spill_label =
+                label + " budget=" + std::to_string(budget);
+            expect_matches_oracle(spilled, want, spill_label);
+            EXPECT_EQ(sessions_csv(spilled), csv) << spill_label;
         }
     }
+}
+
+TEST(SessionBuilderDifferential, RandomTrace) {
+    trace t(1000000);
+    rng r(55);
+    for (int i = 0; i < 1200; ++i) {
+        t.add(rec(1 + r.next_u64() % 40,
+                  static_cast<seconds_t>(r.next_u64() % 400000),
+                  static_cast<seconds_t>(r.next_u64() % 2000)));
+    }
+    expect_every_path_matches_oracle(t, 1500);
+}
+
+TEST(SessionBuilderDifferential, OneClientHoldsMostRecords) {
+    // A range shard cannot split a client, so one shard carries more than
+    // half the trace and others may be empty.
+    trace t(1000000);
+    rng r(56);
+    for (int i = 0; i < 1500; ++i) {
+        const client_id c = i % 3 != 0 ? 7 : 1 + r.next_u64() % 500;
+        t.add(rec(c, static_cast<seconds_t>(r.next_u64() % 200000),
+                  static_cast<seconds_t>(r.next_u64() % 600)));
+    }
+    expect_every_path_matches_oracle(t, 1500);
+}
+
+TEST(SessionBuilderDifferential, ClientIdsSpanTheWholeU64Range) {
+    trace t(1000000);
+    rng r(57);
+    std::vector<client_id> ids = {0, ~client_id{0}, client_id{1} << 63};
+    for (int i = 0; i < 60; ++i) ids.push_back(r.next_u64());
+    for (int i = 0; i < 1000; ++i) {
+        t.add(rec(ids[r.next_u64() % ids.size()],
+                  static_cast<seconds_t>(r.next_u64() % 100000),
+                  static_cast<seconds_t>(r.next_u64() % 900)));
+    }
+    expect_every_path_matches_oracle(t, 1500);
+}
+
+TEST(SessionBuilderDifferential, EveryRecordItsOwnClient) {
+    trace t(1000000);
+    rng r(58);
+    for (std::uint64_t i = 0; i < 800; ++i) {
+        t.add(rec(i * 0x9e3779b97f4a7c15ULL,
+                  static_cast<seconds_t>(r.next_u64() % 100000),
+                  static_cast<seconds_t>(r.next_u64() % 900)));
+    }
+    expect_every_path_matches_oracle(t, 1500);
+}
+
+TEST(SessionBuilderDifferential, ExactTiesKeepRecordOrder) {
+    // Equal (client, start, duration) with distinct objects: only record
+    // order separates them.
+    trace t(1000000);
+    rng r(59);
+    for (int i = 0; i < 900; ++i) {
+        log_record x = rec(1 + r.next_u64() % 6,
+                           static_cast<seconds_t>(r.next_u64() % 4) * 5000,
+                           static_cast<seconds_t>(r.next_u64() % 2) * 10);
+        x.object = static_cast<object_id>(i);
+        t.add(x);
+    }
+    expect_every_path_matches_oracle(t, 1500);
+}
+
+TEST(SessionBuilderDifferential, ZeroLengthTransfers) {
+    trace t(1000000);
+    rng r(60);
+    for (int i = 0; i < 900; ++i) {
+        log_record x = rec(1 + r.next_u64() % 30,
+                           static_cast<seconds_t>(r.next_u64() % 50000), 0);
+        x.object = static_cast<object_id>(r.next_u64() % 5);
+        t.add(x);
+    }
+    expect_every_path_matches_oracle(t, 1500);
+}
+
+TEST(SessionBuilderDifferential, EmptyTrace) {
+    const trace t(1000);
+    expect_every_path_matches_oracle(t, 1500);
+    thread_pool pool(4);
+    EXPECT_TRUE(build_sessions(t, 1500, pool).sessions.empty());
+}
+
+TEST(SessionBuilderDifferential, WideTimesKeepTiesInRecordOrder) {
+    // Starts 5e9 s apart: a window-0 trace can hold them. Exact ties
+    // must still come out in record order, whatever the pool size. The
+    // second round adds durations of 2^40 s, so start and duration no
+    // longer pack into one sort word and the wide path runs.
+    for (seconds_t long_duration : {seconds_t{5}, seconds_t{1} << 40}) {
+        trace t(0);
+        for (int i = 0; i < 1600; ++i) {
+            log_record x =
+                rec(1 + i % 8, (i / 8) % 2 == 0 ? 10 : 5000000000LL,
+                    i % 16 == 15 ? long_duration : 5);
+            x.object = static_cast<object_id>(i);
+            t.add(x);
+        }
+        thread_pool pool(4);
+        const auto want = oracle(t, 1500);
+        expect_matches_oracle(build_sessions(t, 1500), want, "serial");
+        expect_matches_oracle(build_sessions(t, 1500, pool), want, "pooled");
+        expect_every_path_matches_oracle(t, 1500);
+    }
+}
+
+TEST(SessionBuilderDifferential, NegativeDurations) {
+    trace t(1000000);
+    rng r(61);
+    for (int i = 0; i < 600; ++i) {
+        t.add(rec(1 + r.next_u64() % 10,
+                  static_cast<seconds_t>(r.next_u64() % 40000),
+                  static_cast<seconds_t>(r.next_u64() % 4000) - 2000));
+    }
+    expect_every_path_matches_oracle(t, 1500);
 }
 
 }  // namespace

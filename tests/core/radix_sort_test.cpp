@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -80,16 +81,19 @@ TEST(RadixSort, IsStable) {
     }
 }
 
-TEST(RadixSort, MultiWordMatchesTupleOrder) {
+TEST(RadixSort, StablePassesComposeToTupleOrder) {
+    // Sorting by the low word and then by the high word, both stable,
+    // gives the (hi, lo) tuple order with ties in input order.
     struct elem {
         std::int64_t hi;
         std::uint64_t lo;
+        int input;
     };
     rng r(5);
     std::vector<elem> v;
     for (int i = 0; i < 4000; ++i) {
         v.push_back({static_cast<std::int64_t>(r.next_u64() % 64) - 32,
-                     r.next_u64() % 16});
+                     r.next_u64() % 16, i});
     }
     std::vector<elem> expect = v;
     std::stable_sort(expect.begin(), expect.end(),
@@ -97,12 +101,13 @@ TEST(RadixSort, MultiWordMatchesTupleOrder) {
                          if (a.hi != b.hi) return a.hi < b.hi;
                          return a.lo < b.lo;
                      });
-    radix_sort_by_words(v, 2, [](const elem& e, int w) {
-        return w == 0 ? e.lo : radix_key_i64(e.hi);
-    });
+    std::vector<elem> scratch(v.size());
+    radix_sort_by_u64(std::span<elem>(v), std::span<elem>(scratch),
+                      [](const elem& e) { return e.lo; });
+    radix_sort_by_u64(std::span<elem>(v), std::span<elem>(scratch),
+                      [](const elem& e) { return radix_key_i64(e.hi); });
     for (std::size_t i = 0; i < v.size(); ++i) {
-        EXPECT_EQ(v[i].hi, expect[i].hi);
-        EXPECT_EQ(v[i].lo, expect[i].lo);
+        EXPECT_EQ(v[i].input, expect[i].input) << i;
     }
 }
 

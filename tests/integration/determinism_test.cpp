@@ -4,6 +4,7 @@
 // 1, 2, and 8 threads on the same seed and assert byte-level equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -94,9 +95,12 @@ void expect_sessions_identical(const characterize::session_set& a,
         ASSERT_EQ(sa.start, sb.start) << "session " << i;
         ASSERT_EQ(sa.end, sb.end) << "session " << i;
         ASSERT_EQ(sa.num_transfers, sb.num_transfers) << "session " << i;
-        ASSERT_EQ(sa.transfer_starts, sb.transfer_starts) << "session " << i;
-        ASSERT_EQ(sa.transfer_ends, sb.transfer_ends) << "session " << i;
-        ASSERT_EQ(sa.transfer_objects, sb.transfer_objects)
+        ASSERT_TRUE(std::ranges::equal(sa.transfer_starts, sb.transfer_starts))
+            << "session " << i;
+        ASSERT_TRUE(std::ranges::equal(sa.transfer_ends, sb.transfer_ends))
+            << "session " << i;
+        ASSERT_TRUE(
+            std::ranges::equal(sa.transfer_objects, sb.transfer_objects))
             << "session " << i;
     }
 }

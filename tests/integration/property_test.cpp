@@ -77,13 +77,13 @@ TEST_P(SessionInvariants, HoldOnRandomTraces) {
 
     // 4. Consecutive sessions of the same client are separated by more
     //    than the timeout.
-    std::unordered_map<client_id, const characterize::session*> last;
+    std::unordered_map<client_id, characterize::session> last;
     for (const auto& s : ss.sessions) {
         auto it = last.find(s.client);
         if (it != last.end()) {
-            EXPECT_GT(s.start - it->second->end, timeout);
+            EXPECT_GT(s.start - it->second.end, timeout);
         }
-        last[s.client] = &s;
+        last[s.client] = s;
     }
 
     // 5. count_sessions agrees with materialization.

@@ -175,35 +175,5 @@ TEST(TraceEvent, PoolShardsEmitBalancedSlicesAcrossThreads) {
     expect_valid_trace(parse_json(trace_json(t)));
 }
 
-TEST(TraceEvent, FlowEventsCarryIdsAndBindingPoint) {
-    tracer t;
-    const std::uint64_t id = t.new_flow_id();
-    ASSERT_TRUE(t.begin_slice("producer"));
-    ASSERT_TRUE(t.flow_start("hand-off", id));
-    t.end_slice();
-    ASSERT_TRUE(t.begin_slice("consumer"));
-    ASSERT_TRUE(t.flow_finish("hand-off", id));
-    t.end_slice();
-
-    const json_value doc = parse_json(trace_json(t));
-    expect_valid_trace(doc);
-    bool saw_start = false;
-    bool saw_finish = false;
-    for (const json_value& e : doc.find("traceEvents")->as_array()) {
-        const std::string& ph = e.find("ph")->as_string();
-        if (ph == "s") {
-            saw_start = true;
-            EXPECT_EQ(e.number_or("id", 0.0),
-                      static_cast<double>(id));
-        }
-        if (ph == "f") {
-            saw_finish = true;
-            EXPECT_EQ(e.find("bp")->as_string(), "e");
-        }
-    }
-    EXPECT_TRUE(saw_start);
-    EXPECT_TRUE(saw_finish);
-}
-
 }  // namespace
 }  // namespace lsm::obs

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
@@ -133,6 +135,48 @@ TEST(Autocorrelation, WhiteNoiseDecorrelates) {
     }
     const auto acf = autocorrelation(series, 10);
     for (std::size_t l = 1; l <= 10; ++l) EXPECT_LT(std::abs(acf[l]), 0.05);
+}
+
+/// The naive double loop the lag-blocked ACF must reproduce bit for bit.
+std::vector<double> naive_acf(const std::vector<double>& series,
+                              std::size_t max_lag) {
+    double m = 0.0;
+    for (double x : series) m += x;
+    m /= static_cast<double>(series.size());
+    double denom = 0.0;
+    for (double x : series) denom += (x - m) * (x - m);
+    std::vector<double> acf(max_lag + 1, 0.0);
+    for (std::size_t l = 0; l <= max_lag; ++l) {
+        double num = 0.0;
+        for (std::size_t t = 0; t + l < series.size(); ++t) {
+            num += (series[t] - m) * (series[t + l] - m);
+        }
+        acf[l] = num / denom;
+    }
+    return acf;
+}
+
+TEST(Autocorrelation, BitIdenticalToNaiveLoop) {
+    std::uint64_t s = 99;
+    for (std::size_t len : {2U, 3U, 9U, 17U, 64U, 1000U}) {
+        std::vector<double> series;
+        for (std::size_t i = 0; i < len; ++i) {
+            s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+            series.push_back(static_cast<double>(s >> 11) * 0x1.0p-53 *
+                                 100.0 +
+                             static_cast<double>(i % 7));
+        }
+        for (std::size_t max_lag :
+             {std::size_t{0}, std::size_t{1}, len / 2, len - 1}) {
+            const auto got = autocorrelation(series, max_lag);
+            const auto want = naive_acf(series, max_lag);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(double)),
+                      0)
+                << "len=" << len << " max_lag=" << max_lag;
+        }
+    }
 }
 
 TEST(Autocorrelation, RejectsConstantSeries) {
