@@ -7,6 +7,7 @@
 // (schema "lsm-bench-v1"), for CI artifacts and regression tracking.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -37,6 +38,8 @@
 #include "gismo/vbr.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "stats/descriptive.h"
+#include "stats/fitting.h"
 #include "obs/profiler.h"
 #include "obs/trace_event.h"
 #include "stats/fitting.h"
@@ -114,17 +117,49 @@ BENCHMARK(BM_BuildSessions)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_FitLognormal(benchmark::State& state) {
+/// Lognormal(4.4, 1.4) draws, the transfer-length model of Fig 19; with
+/// `rounded` on the ⌊t+1⌋ scale the pipeline fits (heavy ties), else
+/// continuous (every value distinct).
+std::vector<double> lognormal_sample(std::size_t n, bool rounded) {
     rng r(8);
-    std::vector<double> xs;
-    for (int i = 0; i < state.range(0); ++i) {
-        xs.push_back(r.next_lognormal(4.4, 1.4));
+    std::vector<double> xs(n);
+    for (double& x : xs) {
+        x = r.next_lognormal(4.4, 1.4);
+        if (rounded) x = std::floor(x + 1.0);
     }
+    return xs;
+}
+
+void BM_FitLognormal(benchmark::State& state) {
+    const auto xs =
+        lognormal_sample(static_cast<std::size_t>(state.range(0)), false);
     for (auto _ : state) {
         benchmark::DoNotOptimize(stats::fit_lognormal_mle(xs));
     }
 }
 BENCHMARK(BM_FitLognormal)->Arg(10000)->Arg(100000);
+
+void BM_FitLognormalRounded(benchmark::State& state) {
+    const auto xs =
+        lognormal_sample(static_cast<std::size_t>(state.range(0)), true);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(stats::fit_lognormal_mle(xs));
+    }
+}
+BENCHMARK(BM_FitLognormalRounded)->Arg(10000)->Arg(100000);
+
+void BM_Summarize(benchmark::State& state) {
+    const auto xs =
+        lognormal_sample(static_cast<std::size_t>(state.range(0)), true);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(stats::summarize(xs));
+    }
+    state.counters["items/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) *
+            static_cast<double>(xs.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Summarize)->Arg(1500000)->Unit(benchmark::kMillisecond);
 
 void BM_ConcurrencySeries(benchmark::State& state) {
     rng r(9);
@@ -153,11 +188,16 @@ void BM_FullCharacterizationPipeline(benchmark::State& state) {
         hcfg.client.acf_max_lag = 200;
         auto rep = characterize::characterize_hierarchically(copy, hcfg);
         benchmark::DoNotOptimize(rep.transfer.length_fit.mu);
-        state.counters["records/s"] = benchmark::Counter(
-            static_cast<double>(t.size()), benchmark::Counter::kIsRate);
     }
+    state.counters["records/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) *
+            static_cast<double>(t.size()),
+        benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FullCharacterizationPipeline)->Unit(benchmark::kMillisecond);
+// The pipeline runs on every core, so the rate is taken over wall time.
+BENCHMARK(BM_FullCharacterizationPipeline)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SessionCountSweep(benchmark::State& state) {
     gismo::live_config cfg = gismo::live_config::scaled(0.05);

@@ -15,6 +15,8 @@ client_layer_report analyze_client_layer(const trace& t,
     LSM_EXPECTS(cfg.concurrency_sample_step > 0);
     LSM_EXPECTS(cfg.temporal_bin > 0);
     LSM_EXPECTS(cfg.temporal_bin % cfg.concurrency_sample_step == 0);
+    // Per-client transfer counts are read off the session columns.
+    LSM_EXPECTS(sessions.sessions.transfer_starts().size() == t.size());
     client_layer_report rep;
     rep.total_transfers = t.size();
     rep.total_sessions = sessions.sessions.size();
@@ -61,37 +63,27 @@ client_layer_report analyze_client_layer(const trace& t,
             static_cast<double>(log_display(b.start - a.start)));
     }
 
-    // --- Interest profiles (Fig 7). Per-client counts come from run
-    // lengths in sorted key order rather than hash tables; the profile
-    // only depends on the multiset of counts (rank_frequency_profile
-    // sorts internally), so the ordering change is invisible.
+    // --- Interest profiles (Fig 7). Sessions arrive (client, start)-
+    // sorted and own consecutive slices of the transfer columns, so each
+    // client's run of sessions gives both counts: the run length, and the
+    // span of transfer offsets it covers. The profiles depend only on the
+    // multisets of counts (rank_frequency_profile sorts them).
     std::vector<std::uint64_t> tcounts;
-    {
-        std::vector<std::uint64_t> clients;
-        clients.reserve(t.size());
-        for (const log_record& r : t.records()) clients.push_back(r.client);
-        radix_sort_u64(clients);
-        for (std::size_t i = 0; i < clients.size();) {
-            std::size_t j = i;
-            while (j < clients.size() && clients[j] == clients[i]) ++j;
-            tcounts.push_back(j - i);
-            i = j;
-        }
+    std::vector<std::uint64_t> scounts;
+    const std::uint64_t covered = sessions.sessions.transfer_starts().size();
+    for (std::size_t i = 0; i < heads.size();) {
+        std::size_t j = i;
+        while (j < heads.size() && heads[j].client == heads[i].client) ++j;
+        const std::uint64_t next =
+            j < heads.size() ? heads[j].first : covered;
+        tcounts.push_back(next - heads[i].first);
+        scounts.push_back(j - i);
+        i = j;
     }
     rep.distinct_clients = tcounts.size();
     rep.transfer_interest_profile = stats::rank_frequency_profile(tcounts);
     rep.transfer_interest_fit =
         stats::fit_zipf_loglog(rep.transfer_interest_profile);
-
-    // Sessions arrive (client, start)-sorted, so per-client session
-    // counts are plain run lengths.
-    std::vector<std::uint64_t> scounts;
-    for (std::size_t i = 0; i < heads.size();) {
-        std::size_t j = i;
-        while (j < heads.size() && heads[j].client == heads[i].client) ++j;
-        scounts.push_back(j - i);
-        i = j;
-    }
     rep.session_interest_profile = stats::rank_frequency_profile(scounts);
     rep.session_interest_fit =
         stats::fit_zipf_loglog(rep.session_interest_profile);

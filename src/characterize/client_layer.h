@@ -75,7 +75,8 @@ struct client_layer_report {
     std::uint64_t distinct_clients = 0;
 };
 
-/// Runs the full client-layer analysis. `sessions` must be built from `t`.
+/// Runs the full client-layer analysis. `sessions` must be built from `t`;
+/// requires the session columns to hold exactly t.size() transfers.
 client_layer_report analyze_client_layer(
     const trace& t, const session_set& sessions,
     const client_layer_config& cfg = {});

@@ -2,27 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "core/contracts.h"
 #include "stats/descriptive.h"
 #include "stats/linreg.h"
+#include "stats/sorted_sample.h"
 #include "stats/timeseries.h"
 
 namespace lsm::characterize {
 
 value_zipf fit_value_zipf(const std::vector<double>& samples) {
-    LSM_EXPECTS(!samples.empty());
-    std::map<double, std::uint64_t> counts;
-    for (double s : samples) {
-        LSM_EXPECTS(s > 0.0);
-        ++counts[s];
-    }
+    const stats::sorted_sample counts(samples);
+    LSM_EXPECTS(counts.min() > 0.0);
     value_zipf vz;
+    vz.values.assign(counts.values().begin(), counts.values().end());
+    vz.frequencies.reserve(counts.distinct());
     const auto total = static_cast<double>(samples.size());
-    for (const auto& [value, count] : counts) {
-        vz.values.push_back(value);
-        vz.frequencies.push_back(static_cast<double>(count) / total);
+    for (std::size_t r = 0; r < counts.distinct(); ++r) {
+        vz.frequencies.push_back(static_cast<double>(counts.count(r)) /
+                                 total);
     }
     // A single distinct value carries no slope information: return the
     // profile with an empty fit.

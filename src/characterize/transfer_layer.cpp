@@ -1,6 +1,7 @@
 #include "characterize/transfer_layer.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/contracts.h"
 #include "core/radix_sort.h"
@@ -42,15 +43,10 @@ transfer_layer_report analyze_transfer_layer(
     starts.reserve(t.size());
     for (const log_record& r : t.records()) starts.push_back(r.start);
     radix_sort_i64(starts);
-    std::vector<seconds_t> gap_times;  // time of the earlier event
-    std::vector<double> gap_values;
     rep.interarrivals.reserve(starts.size());
     for (std::size_t i = 0; i + 1 < starts.size(); ++i) {
-        const seconds_t gap = starts[i + 1] - starts[i];
         rep.interarrivals.push_back(
-            static_cast<double>(log_display(gap)));
-        gap_times.push_back(starts[i]);
-        gap_values.push_back(static_cast<double>(log_display(gap)));
+            static_cast<double>(log_display(starts[i + 1] - starts[i])));
     }
     if (rep.interarrivals.size() >= 2) {
         stats::empirical_distribution ed(rep.interarrivals);
@@ -60,12 +56,17 @@ transfer_layer_report analyze_transfer_layer(
             rep.fast_regime = stats::fit_ccdf_tail(ed, 2.0, cfg.tail_split);
             rep.slow_regime = stats::fit_ccdf_tail(ed, cfg.tail_split, hi);
         }
+        // Each gap is binned at the time of its earlier event.
+        const std::span<const seconds_t> gap_times(
+            starts.data(), rep.interarrivals.size());
         rep.interarrival_binned = stats::bin_means(
-            gap_times, gap_values, cfg.temporal_bin, horizon);
-        rep.interarrival_weekly_fold = stats::folded_bin_means(
-            gap_times, gap_values, seconds_per_week, cfg.temporal_bin);
-        rep.interarrival_daily_fold = stats::folded_bin_means(
-            gap_times, gap_values, seconds_per_day, cfg.temporal_bin);
+            gap_times, rep.interarrivals, cfg.temporal_bin, horizon);
+        rep.interarrival_weekly_fold =
+            stats::folded_bin_means(gap_times, rep.interarrivals,
+                                    seconds_per_week, cfg.temporal_bin);
+        rep.interarrival_daily_fold =
+            stats::folded_bin_means(gap_times, rep.interarrivals,
+                                    seconds_per_day, cfg.temporal_bin);
     }
 
     // --- Lengths (Fig 19).

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/contracts.h"
+#include "stats/sorted_sample.h"
 
 namespace lsm::stats {
 
@@ -25,18 +26,12 @@ double variance(std::span<const double> xs) {
 double quantile_sorted(std::span<const double> sorted_xs, double q) {
     LSM_EXPECTS(!sorted_xs.empty());
     LSM_EXPECTS(q >= 0.0 && q <= 1.0);
-    const double h = q * static_cast<double>(sorted_xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(h);
-    const std::size_t hi = std::min(lo + 1, sorted_xs.size() - 1);
-    const double frac = h - static_cast<double>(lo);
-    return sorted_xs[lo] + frac * (sorted_xs[hi] - sorted_xs[lo]);
+    return type7_quantile(sorted_xs.size(), q,
+                          [&](std::size_t k) { return sorted_xs[k]; });
 }
 
 double quantile(std::span<const double> xs, double q) {
-    LSM_EXPECTS(!xs.empty());
-    std::vector<double> copy(xs.begin(), xs.end());
-    std::sort(copy.begin(), copy.end());
-    return quantile_sorted(copy, q);
+    return sorted_sample(xs).quantile(q);
 }
 
 double coefficient_of_variation(std::span<const double> xs) {
@@ -97,8 +92,7 @@ double spearman_correlation(std::span<const double> xs,
 
 summary summarize(std::span<const double> xs) {
     LSM_EXPECTS(!xs.empty());
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
+    const sorted_sample sorted(xs);
     summary s;
     s.count = xs.size();
     s.sum = 0.0;
@@ -109,13 +103,13 @@ summary summarize(std::span<const double> xs) {
     s.variance =
         s.count > 1 ? ss / static_cast<double>(s.count - 1) : 0.0;
     s.stddev = std::sqrt(s.variance);
-    s.min = sorted.front();
-    s.max = sorted.back();
-    s.median = quantile_sorted(sorted, 0.5);
-    s.p25 = quantile_sorted(sorted, 0.25);
-    s.p75 = quantile_sorted(sorted, 0.75);
-    s.p90 = quantile_sorted(sorted, 0.90);
-    s.p99 = quantile_sorted(sorted, 0.99);
+    s.min = sorted.min();
+    s.max = sorted.max();
+    s.median = sorted.quantile(0.5);
+    s.p25 = sorted.quantile(0.25);
+    s.p75 = sorted.quantile(0.75);
+    s.p90 = sorted.quantile(0.90);
+    s.p99 = sorted.quantile(0.99);
     return s;
 }
 

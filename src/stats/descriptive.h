@@ -32,7 +32,8 @@ double mean(std::span<const double> xs);
 /// Unbiased sample variance; returns 0 for fewer than two samples.
 double variance(std::span<const double> xs);
 
-/// Quantile q in [0, 1] of an UNSORTED sample (copies and sorts internally).
+/// Quantile q in [0, 1] of an UNSORTED sample (orders it through a
+/// sorted_sample).
 double quantile(std::span<const double> xs, double q);
 
 /// Quantile q in [0, 1] of a sample already sorted ascending.

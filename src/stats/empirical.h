@@ -7,6 +7,8 @@
 #include <span>
 #include <vector>
 
+#include "stats/sorted_sample.h"
+
 namespace lsm::stats {
 
 /// An (x, y) point of a distribution curve.
@@ -17,12 +19,14 @@ struct dist_point {
 
 class empirical_distribution {
 public:
-    /// Copies and sorts the sample. Requires a non-empty sample.
+    /// Orders the sample into a run table (sorted_sample.h). Requires a
+    /// non-empty sample.
     explicit empirical_distribution(std::span<const double> xs);
 
-    std::size_t size() const { return sorted_.size(); }
-    double min() const { return sorted_.front(); }
-    double max() const { return sorted_.back(); }
+    std::size_t size() const { return sample_.size(); }
+    double min() const { return sample_.min(); }
+    double max() const { return sample_.max(); }
+    /// Mean, summed in ascending order.
     double mean() const { return mean_; }
 
     /// P[X <= x].
@@ -50,10 +54,8 @@ public:
     /// linear x axis (e.g. concurrency marginals, Figures 3 and 15).
     std::vector<dist_point> frequency_points_linear(std::size_t nbins) const;
 
-    const std::vector<double>& sorted() const { return sorted_; }
-
 private:
-    std::vector<double> sorted_;
+    sorted_sample sample_;
     double mean_ = 0.0;
 };
 

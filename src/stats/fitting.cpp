@@ -6,6 +6,7 @@
 #include "core/contracts.h"
 #include "stats/ks.h"
 #include "stats/linreg.h"
+#include "stats/sorted_sample.h"
 
 namespace lsm::stats {
 
@@ -158,13 +159,14 @@ tail_fit fit_ccdf_tail(const empirical_distribution& ed, double x_lo,
 
 double hill_tail_index(std::span<const double> xs, std::size_t tail_count) {
     LSM_EXPECTS(tail_count >= 2 && tail_count <= xs.size());
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    const double x_k = sorted[tail_count - 1];
+    const sorted_sample sorted(xs);
+    const std::size_t n = sorted.size();
+    const double x_k = sorted.at(n - tail_count);
     LSM_EXPECTS(x_k > 0.0);
     double sum = 0.0;
+    // The tail_count - 1 largest values, largest first.
     for (std::size_t i = 0; i + 1 < tail_count; ++i) {
-        sum += std::log(sorted[i] / x_k);
+        sum += std::log(sorted.at(n - 1 - i) / x_k);
     }
     LSM_EXPECTS(sum > 0.0);
     return static_cast<double>(tail_count - 1) / sum;

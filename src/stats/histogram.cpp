@@ -60,17 +60,17 @@ std::size_t histogram::bin_index(double x) const {
     return idx;
 }
 
-void histogram::add(double x) {
+void histogram::add(double x, std::size_t count) {
     if (x < lo_) {
-        ++underflow_;
+        underflow_ += count;
         return;
     }
     if (x > hi_) {
-        ++overflow_;
+        overflow_ += count;
         return;
     }
-    ++bins_[bin_index(x)].count;
-    ++total_;
+    bins_[bin_index(x)].count += count;
+    total_ += count;
 }
 
 void histogram::add_all(std::span<const double> xs) {

@@ -32,7 +32,8 @@ public:
     /// Requires 0 < lo < hi and nbins > 0.
     static histogram logarithmic(double lo, double hi, std::size_t nbins);
 
-    void add(double x);
+    /// Adds `count` copies of x.
+    void add(double x, std::size_t count = 1);
     void add_all(std::span<const double> xs);
 
     const std::vector<histogram_bin>& bins() const { return bins_; }

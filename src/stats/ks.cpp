@@ -5,21 +5,22 @@
 #include <vector>
 
 #include "core/contracts.h"
+#include "stats/sorted_sample.h"
 
 namespace lsm::stats {
 
 double ks_distance(std::span<const double> sample,
                    const std::function<double(double)>& model_cdf) {
-    LSM_EXPECTS(!sample.empty());
-    std::vector<double> sorted(sample.begin(), sample.end());
-    std::sort(sorted.begin(), sorted.end());
+    const sorted_sample sorted(sample);
     const auto n = static_cast<double>(sorted.size());
     double d = 0.0;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-        const double f = model_cdf(sorted[i]);
-        // Compare against the empirical CDF just before and at this point.
-        const double lo = static_cast<double>(i) / n;
-        const double hi = static_cast<double>(i + 1) / n;
+    for (std::size_t r = 0; r < sorted.distinct(); ++r) {
+        const double f = model_cdf(sorted.values()[r]);
+        // The empirical CDF steps from lo to hi across this run. The
+        // rounded f - k/n is monotone in k, so |f - k/n| over the run's
+        // k = lo..hi peaks at one of its two ends.
+        const double lo = static_cast<double>(sorted.begin(r)) / n;
+        const double hi = static_cast<double>(sorted.ends()[r]) / n;
         d = std::max({d, std::abs(f - lo), std::abs(f - hi)});
     }
     return d;
@@ -27,18 +28,30 @@ double ks_distance(std::span<const double> sample,
 
 double anderson_darling(std::span<const double> sample,
                         const std::function<double(double)>& model_cdf) {
-    LSM_EXPECTS(!sample.empty());
-    std::vector<double> sorted(sample.begin(), sample.end());
-    std::sort(sorted.begin(), sorted.end());
-    const auto n = static_cast<double>(sorted.size());
+    const sorted_sample sorted(sample);
     constexpr double eps = 1e-12;
+    // log F and log(1 - F) once per distinct value.
+    std::vector<double> log_f(sorted.distinct());
+    std::vector<double> log_sf(sorted.distinct());
+    for (std::size_t r = 0; r < sorted.distinct(); ++r) {
+        const double f =
+            std::clamp(model_cdf(sorted.values()[r]), eps, 1.0 - eps);
+        log_f[r] = std::log(f);
+        log_sf[r] = std::log(1.0 - f);
+    }
+    // Order statistic i pairs with order statistic n - 1 - i: walk one
+    // run cursor up from the bottom and one down from the top.
+    const std::size_t count = sorted.size();
+    const auto n = static_cast<double>(count);
+    const auto ends = sorted.ends();
+    std::size_t up = 0;
+    std::size_t down = sorted.distinct() - 1;
     double s = 0.0;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-        const double fi = std::clamp(model_cdf(sorted[i]), eps, 1.0 - eps);
-        const double fj = std::clamp(
-            model_cdf(sorted[sorted.size() - 1 - i]), eps, 1.0 - eps);
+    for (std::size_t i = 0; i < count; ++i) {
+        if (i == ends[up]) ++up;
+        if (count - 1 - i < sorted.begin(down)) --down;
         s += (2.0 * static_cast<double>(i) + 1.0) *
-             (std::log(fi) + std::log(1.0 - fj));
+             (log_f[up] + log_sf[down]);
     }
     return -n - s / n;
 }

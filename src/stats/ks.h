@@ -8,8 +8,9 @@
 namespace lsm::stats {
 
 /// One-sample KS statistic: sup_x |F_n(x) - F(x)| where F_n is the
-/// empirical CDF of the sample and F is `model_cdf`. The sample is copied
-/// and sorted internally. Requires a non-empty sample.
+/// empirical CDF of the sample and F is `model_cdf`, evaluated once per
+/// distinct sample value (see sorted_sample.h). Requires a non-empty
+/// sample.
 double ks_distance(std::span<const double> sample,
                    const std::function<double(double)>& model_cdf);
 

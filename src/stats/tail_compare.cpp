@@ -7,6 +7,7 @@
 #include "core/contracts.h"
 #include "stats/distributions.h"
 #include "stats/ks.h"
+#include "stats/sorted_sample.h"
 
 namespace lsm::stats {
 
@@ -23,19 +24,20 @@ tail_comparison compare_tail_models(std::span<const double> xs,
     cmp.lognormal = fit_lognormal_mle(xs);
     cmp.ks_lognormal = cmp.lognormal.ks;
 
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
+    const sorted_sample sorted(xs);
     const auto tail_count = std::max<std::size_t>(
         25, static_cast<std::size_t>(
                 static_cast<double>(xs.size()) * tail_fraction));
     LSM_EXPECTS(tail_count < sorted.size());
 
-    std::vector<double> tail(sorted.end() - static_cast<std::ptrdiff_t>(
-                                                tail_count),
-                             sorted.end());
+    // The tail_count largest values, ascending.
+    std::vector<double> tail(tail_count);
+    for (std::size_t i = 0; i < tail_count; ++i) {
+        tail[i] = sorted.at(sorted.size() - tail_count + i);
+    }
     cmp.pareto_xmin = tail.front();
     LSM_EXPECTS(cmp.pareto_xmin > 0.0);
-    cmp.pareto_alpha = hill_tail_index(sorted, tail_count);
+    cmp.pareto_alpha = hill_tail_index(xs, tail_count);
 
     const pareto_dist pd(cmp.pareto_alpha, cmp.pareto_xmin);
     cmp.ks_pareto_tail =

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "characterize/hierarchical.h"
+#include "characterize/session_spill.h"
 #include "core/contracts.h"
+#include "core/rng.h"
 #include "gismo/live_generator.h"
 
 namespace lsm::characterize {
@@ -140,6 +145,98 @@ TEST(ClientLayer, RejectsMisalignedBins) {
     cfg.concurrency_sample_step = 7;
     cfg.temporal_bin = 900;  // not a multiple of 7
     EXPECT_THROW(analyze_client_layer(t, ss, cfg),
+                 lsm::contract_violation);
+}
+
+// --- Per-client counts come from the session columns; a record-based
+// count is the oracle.
+
+struct record_counts {
+    std::vector<double> transfer_profile;
+    std::uint64_t distinct_clients = 0;
+};
+
+record_counts count_by_records(const trace& t) {
+    std::map<client_id, std::uint64_t> per_client;
+    for (const log_record& r : t.records()) ++per_client[r.client];
+    std::vector<std::uint64_t> counts;
+    for (const auto& [client, n] : per_client) counts.push_back(n);
+    return {stats::rank_frequency_profile(counts), per_client.size()};
+}
+
+void expect_counts_match_records(const trace& t,
+                                 const client_layer_report& rep) {
+    const record_counts want = count_by_records(t);
+    EXPECT_EQ(rep.distinct_clients, want.distinct_clients);
+    EXPECT_EQ(rep.transfer_interest_profile, want.transfer_profile);
+}
+
+/// Random records over a day: a few heavy clients, many light ones. Unless
+/// `clean`, some records start or run past the window, which sanitize()
+/// would drop.
+trace random_trace(std::uint64_t seed, std::size_t n, bool clean) {
+    rng r(seed);
+    trace t(seconds_per_day);
+    for (std::size_t i = 0; i < n; ++i) {
+        const client_id c = r.next_bool(0.3)
+                                ? static_cast<client_id>(r.next_below(5))
+                                : static_cast<client_id>(r.next_below(4000));
+        auto start = static_cast<seconds_t>(r.next_below(seconds_per_day));
+        const auto dur = static_cast<seconds_t>(r.next_below(3000));
+        if (!clean && r.next_bool(0.05)) start += seconds_per_day;
+        t.add(rec(c, start, dur));
+    }
+    return t;
+}
+
+client_layer_config fast_config() {
+    client_layer_config cfg;
+    cfg.acf_max_lag = 50;
+    return cfg;
+}
+
+TEST(ClientLayer, PerClientCountsMatchRecordsOnRandomTraces) {
+    for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        SCOPED_TRACE(seed);
+        const trace t = random_trace(seed, 20000, true);
+        thread_pool pool(3);
+        for (seconds_t timeout : {0, 1500, 100000}) {
+            const auto ss = build_sessions(t, timeout, pool);
+            expect_counts_match_records(
+                t, analyze_client_layer(t, ss, fast_config()));
+        }
+    }
+}
+
+TEST(ClientLayer, PerClientCountsMatchRecordsUnsanitized) {
+    trace t = random_trace(4, 20000, false);
+    const trace original = t;
+    hierarchical_config cfg;
+    cfg.sanitize_first = false;
+    cfg.threads = 2;
+    cfg.client = fast_config();
+    const auto rep = characterize_hierarchically(t, cfg);
+    ASSERT_EQ(t.size(), original.size());
+    trace sanitized = original;
+    EXPECT_GT(sanitize(sanitized).dropped_out_of_window, 0U);
+    expect_counts_match_records(original, rep.client);
+}
+
+TEST(ClientLayer, PerClientCountsMatchRecordsThroughSpill) {
+    const trace t = random_trace(5, 20000, true);
+    thread_pool pool(2);
+    spill_options opts;
+    opts.max_resident_records = t.size() / 4 + 1;
+    opts.spill_dir = ::testing::TempDir();
+    const auto ss = build_sessions_spill(t, opts, pool);
+    expect_counts_match_records(t, analyze_client_layer(t, ss, fast_config()));
+}
+
+TEST(ClientLayer, RejectsSessionsOfAnotherTrace) {
+    const trace t = random_trace(6, 2000, true);
+    const trace other = random_trace(7, 1999, true);
+    const auto ss = build_sessions(other, 1500);
+    EXPECT_THROW(analyze_client_layer(t, ss, fast_config()),
                  lsm::contract_violation);
 }
 
