@@ -50,10 +50,12 @@ transfer_layer_report analyze_transfer_layer(
     }
     if (rep.interarrivals.size() >= 2) {
         stats::empirical_distribution ed(rep.interarrivals);
-        // Regime boundaries: only fit where there are points.
-        const double hi = std::min(cfg.tail_max, ed.max());
+        // The fast regime is fitted wherever it has points (an empty fit
+        // otherwise); the slow one only when some gap exceeds tail_split,
+        // since its range ends at the largest gap.
+        rep.fast_regime = stats::fit_ccdf_tail(ed, 2.0, cfg.tail_split);
         if (ed.max() > cfg.tail_split) {
-            rep.fast_regime = stats::fit_ccdf_tail(ed, 2.0, cfg.tail_split);
+            const double hi = std::min(cfg.tail_max, ed.max());
             rep.slow_regime = stats::fit_ccdf_tail(ed, cfg.tail_split, hi);
         }
         // Each gap is binned at the time of its earlier event.

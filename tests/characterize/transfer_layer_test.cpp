@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/contracts.h"
@@ -39,6 +40,28 @@ TEST(TransferLayer, InterarrivalsFromSortedStarts) {
     ASSERT_EQ(rep.interarrivals.size(), 2U);
     EXPECT_DOUBLE_EQ(rep.interarrivals[0], 101.0);
     EXPECT_DOUBLE_EQ(rep.interarrivals[1], 151.0);
+}
+
+TEST(TransferLayer, FastRegimeFittedWhenNoGapExceedsTailSplit) {
+    // A busy day: every interarrival is 40 s or less, below the 100 s
+    // split, so only the fast regime has points.
+    rng r(3);
+    trace t(seconds_per_day);
+    seconds_t clock = 0;
+    for (int i = 0; i < 2000; ++i) {
+        t.add(rec(static_cast<client_id>(i), clock, 30));
+        clock += static_cast<seconds_t>(
+            std::min(40.0, std::floor(r.next_exponential(8.0))));
+    }
+    const transfer_layer_config cfg;
+    const auto rep = analyze_transfer_layer(t, cfg);
+    double largest = 0.0;
+    for (double g : rep.interarrivals) largest = std::max(largest, g);
+    ASSERT_LT(largest, cfg.tail_split);
+    EXPECT_GE(rep.fast_regime.points, 2U);
+    EXPECT_GT(rep.fast_regime.alpha, 0.0);
+    EXPECT_EQ(rep.slow_regime.points, 0U);
+    EXPECT_EQ(rep.slow_regime.alpha, 0.0);
 }
 
 TEST(TransferLayer, CongestionFractionByThreshold) {
