@@ -31,7 +31,8 @@
 namespace lsm {
 namespace {
 
-constexpr const char* k_golden_file = "report_gismo_scale0.02_7d_seed2002.json";
+constexpr const char* k_golden_file =
+    "report_gismo_scale0.02_7d_seed2002.json";
 
 std::string read_golden() {
     std::ifstream in(std::string(LSM_GOLDEN_DIR) + "/" + k_golden_file,

@@ -298,11 +298,10 @@ void check_against_oracle(const std::vector<double>& xs) {
     cmp.same(oe.mean(), ed.mean(), "empirical mean");
 
     // CDF and CCDF at every sample point, between neighbours and outside.
-    std::vector<double> probes = {
-        -std::numeric_limits<double>::infinity(),
-        std::numeric_limits<double>::infinity(),
-        std::nextafter(sorted.front(), -std::numeric_limits<double>::infinity()),
-        std::nextafter(sorted.back(), std::numeric_limits<double>::infinity())};
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> probes = {-inf, inf,
+                                  std::nextafter(sorted.front(), -inf),
+                                  std::nextafter(sorted.back(), inf)};
     for (std::size_t i = 0; i < sorted.size(); i += 1 + sorted.size() / 4000) {
         probes.push_back(sorted[i]);
         if (i + 1 < sorted.size()) {
@@ -357,8 +356,8 @@ std::vector<double> with_distinct(std::size_t n, std::size_t distinct,
     rng r(seed);
     std::vector<double> xs(n);
     for (std::size_t i = 0; i < n; ++i) {
-        xs[i] = i < distinct ? 1.0 + static_cast<double>(i) * 0.5
-                             : 1.0 + static_cast<double>(r.next_below(distinct)) * 0.5;
+        const std::size_t v = i < distinct ? i : r.next_below(distinct);
+        xs[i] = 1.0 + static_cast<double>(v) * 0.5;
     }
     for (std::size_t i = n - 1; i > 0; --i) {
         std::swap(xs[i], xs[r.next_below(i + 1)]);
@@ -407,7 +406,9 @@ TEST(SortedSampleDifferential, MixedSignedZerosCompareByValue) {
     std::vector<double> xs;
     for (int i = 0; i < 5000; ++i) {
         const auto k = r.next_below(5);
-        xs.push_back(k == 0 ? -0.0 : k == 1 ? 0.0 : static_cast<double>(k) - 3.0);
+        xs.push_back(k == 0   ? -0.0
+                     : k == 1 ? 0.0
+                              : static_cast<double>(k) - 3.0);
     }
     ASSERT_TRUE(mixes_zero_signs(xs));
     check_against_oracle(xs);
@@ -426,7 +427,8 @@ TEST(SortedSampleDifferential, ExtremeMagnitudesAndSubnormals) {
         const auto k = r.next_below(6);
         big.push_back(k == 0   ? 1e300
                       : k == 1 ? -1e300
-                      : k == 2 ? tiny * static_cast<double>(1 + r.next_below(50))
+                      : k == 2 ? tiny * static_cast<double>(
+                                     1 + r.next_below(50))
                       : k == 3 ? 2.2250738585072014e-308
                                : r.next_lognormal(0.0, 2.0));
     }
