@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 
 #include "core/contracts.h"
 #include "core/radix_sort.h"
@@ -9,23 +10,13 @@
 
 namespace lsm::characterize {
 
-client_layer_report analyze_client_layer(const trace& t,
-                                         const session_set& sessions,
-                                         const client_layer_config& cfg) {
-    LSM_EXPECTS(cfg.concurrency_sample_step > 0);
-    LSM_EXPECTS(cfg.temporal_bin > 0);
-    LSM_EXPECTS(cfg.temporal_bin % cfg.concurrency_sample_step == 0);
-    // Per-client transfer counts are read off the session columns.
-    LSM_EXPECTS(sessions.sessions.transfer_starts().size() == t.size());
-    client_layer_report rep;
-    rep.total_transfers = t.size();
-    rep.total_sessions = sessions.sessions.size();
+namespace {
+
+// --- Concurrency: a client is active while one of its sessions is on.
+void client_concurrency(const session_set& sessions, seconds_t horizon,
+                        const client_layer_config& cfg,
+                        client_layer_report& rep) {
     const auto heads = sessions.sessions.heads();
-
-    const seconds_t horizon =
-        t.window_length() > 0 ? t.window_length() : seconds_per_day;
-
-    // --- Concurrency: a client is active while one of its sessions is on.
     std::vector<stats::interval> session_intervals;
     session_intervals.reserve(heads.size());
     for (const session_table::head& s : heads) {
@@ -47,13 +38,22 @@ client_layer_report analyze_client_layer(const trace& t,
     rep.concurrency_daily_fold =
         stats::fold_series(rep.concurrency_binned, bins_per_day);
 
-    const std::size_t max_lag =
-        std::min(cfg.acf_max_lag, rep.concurrency_series.size() - 1);
-    rep.concurrency_acf =
-        stats::autocorrelation(rep.concurrency_series, max_lag);
+    // A constant series (e.g. one session spanning the window) has no
+    // variance, so its ACF is undefined: leave it empty.
+    const auto& series = rep.concurrency_series;
+    if (std::adjacent_find(series.begin(), series.end(),
+                           std::not_equal_to<>()) == series.end()) {
+        return;
+    }
+    const std::size_t max_lag = std::min(cfg.acf_max_lag, series.size() - 1);
+    rep.concurrency_acf = stats::autocorrelation(series, max_lag);
+}
 
-    // --- Client interarrivals (Fig 5): consecutive session arrivals from
-    // different clients, in global start order.
+// --- Client interarrivals (Fig 5): consecutive session arrivals from
+// different clients, in global start order.
+void client_interarrivals(const session_set& sessions,
+                          client_layer_report& rep) {
+    const auto heads = sessions.sessions.heads();
     const auto order = sessions.order_by_start();
     for (std::size_t i = 0; i + 1 < order.size(); ++i) {
         const session_table::head& a = heads[order[i]];
@@ -62,12 +62,21 @@ client_layer_report analyze_client_layer(const trace& t,
         rep.client_interarrivals.push_back(
             static_cast<double>(log_display(b.start - a.start)));
     }
+}
 
-    // --- Interest profiles (Fig 7). Sessions arrive (client, start)-
-    // sorted and own consecutive slices of the transfer columns, so each
-    // client's run of sessions gives both counts: the run length, and the
-    // span of transfer offsets it covers. The profiles depend only on the
-    // multisets of counts (rank_frequency_profile sorts them).
+// A Zipf fit needs two ranks; with fewer the fit stays empty.
+stats::zipf_fit fit_interest(const std::vector<double>& profile) {
+    return profile.size() >= 2 ? stats::fit_zipf_loglog(profile)
+                               : stats::zipf_fit{};
+}
+
+// --- Interest profiles (Fig 7). Sessions arrive (client, start)-sorted
+// and own consecutive slices of the transfer columns, so each client's
+// run of sessions gives both counts: the run length, and the span of
+// transfer offsets it covers. The profiles depend only on the multisets
+// of counts (rank_frequency_profile sorts them).
+void client_interest(const session_set& sessions, client_layer_report& rep) {
+    const auto heads = sessions.sessions.heads();
     std::vector<std::uint64_t> tcounts;
     std::vector<std::uint64_t> scounts;
     const std::uint64_t covered = sessions.sessions.transfer_starts().size();
@@ -82,15 +91,15 @@ client_layer_report analyze_client_layer(const trace& t,
     }
     rep.distinct_clients = tcounts.size();
     rep.transfer_interest_profile = stats::rank_frequency_profile(tcounts);
-    rep.transfer_interest_fit =
-        stats::fit_zipf_loglog(rep.transfer_interest_profile);
+    rep.transfer_interest_fit = fit_interest(rep.transfer_interest_profile);
     rep.session_interest_profile = stats::rank_frequency_profile(scounts);
-    rep.session_interest_fit =
-        stats::fit_zipf_loglog(rep.session_interest_profile);
+    rep.session_interest_fit = fit_interest(rep.session_interest_profile);
+}
 
-    // --- Fig 2: AS and country diversity. (asn, ip) pairs pack into one
-    // 64-bit key, so one radix sort yields, per AS run, both the transfer
-    // count (run length) and the distinct-IP count (sub-runs).
+// --- Fig 2: AS and country diversity. (asn, ip) pairs pack into one
+// 64-bit key, so one radix sort yields, per AS run, both the transfer
+// count (run length) and the distinct-IP count (sub-runs).
+void client_diversity(const trace& t, client_layer_report& rep) {
     {
         std::vector<std::uint64_t> keys;
         keys.reserve(t.size());
@@ -144,6 +153,40 @@ client_layer_report analyze_client_layer(const trace& t,
                       return a.transfers > b.transfers;
                   return a.country < b.country;
               });
+}
+
+}  // namespace
+
+std::vector<layer_task> client_layer_tasks(const trace& t,
+                                           const session_set& sessions,
+                                           const client_layer_config& cfg,
+                                           client_layer_report& rep) {
+    LSM_EXPECTS(cfg.concurrency_sample_step > 0);
+    LSM_EXPECTS(cfg.temporal_bin > 0);
+    LSM_EXPECTS(cfg.temporal_bin % cfg.concurrency_sample_step == 0);
+    // Per-client transfer counts are read off the session columns.
+    LSM_EXPECTS(sessions.sessions.transfer_starts().size() == t.size());
+    rep.total_transfers = t.size();
+    rep.total_sessions = sessions.sessions.size();
+    const seconds_t horizon =
+        t.window_length() > 0 ? t.window_length() : seconds_per_day;
+    return {
+        {"concurrency",
+         [&sessions, horizon, &cfg, &rep] {
+             client_concurrency(sessions, horizon, cfg, rep);
+         }},
+        {"interarrivals",
+         [&sessions, &rep] { client_interarrivals(sessions, rep); }},
+        {"interest", [&sessions, &rep] { client_interest(sessions, rep); }},
+        {"diversity", [&t, &rep] { client_diversity(t, rep); }},
+    };
+}
+
+client_layer_report analyze_client_layer(const trace& t,
+                                         const session_set& sessions,
+                                         const client_layer_config& cfg) {
+    client_layer_report rep;
+    run_in_order(client_layer_tasks(t, sessions, cfg, rep));
     return rep;
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "characterize/layer_task.h"
 #include "characterize/session_builder.h"
 #include "core/trace.h"
 #include "stats/empirical.h"
@@ -48,7 +49,8 @@ struct client_layer_report {
     std::vector<double> concurrency_weekly_fold;
     /// Fig 4 right: fold onto one day.
     std::vector<double> concurrency_daily_fold;
-    /// Fig 8: ACF of concurrency_series, lags 0..acf_max_lag.
+    /// Fig 8: ACF of concurrency_series, lags 0..acf_max_lag. Empty when
+    /// the series is constant, where the ACF is undefined.
     std::vector<double> concurrency_acf;
 
     // --- Fig 5: client interarrival times ---
@@ -57,6 +59,7 @@ struct client_layer_report {
     std::vector<double> client_interarrivals;
 
     // --- Fig 7: client interest profiles ---
+    // Both fits stay empty (all zero) with fewer than two clients.
     /// Rank/frequency share of transfers per client, descending.
     std::vector<double> transfer_interest_profile;
     stats::zipf_fit transfer_interest_fit;
@@ -80,5 +83,16 @@ struct client_layer_report {
 client_layer_report analyze_client_layer(
     const trace& t, const session_set& sessions,
     const client_layer_config& cfg = {});
+
+/// The client layer's independent parts (layer_task.h), in the order
+/// analyze_client_layer runs them: "concurrency" (c(t), its binned mean,
+/// folds and ACF), "interarrivals", "interest" (rank-frequency profiles
+/// and Zipf fits) and "diversity" (AS/IP and country shares). Checks the
+/// preconditions and fills the totals of `rep` now; the tasks fill the
+/// rest and reference every argument, which must outlive them.
+std::vector<layer_task> client_layer_tasks(const trace& t,
+                                           const session_set& sessions,
+                                           const client_layer_config& cfg,
+                                           client_layer_report& rep);
 
 }  // namespace lsm::characterize

@@ -38,9 +38,9 @@ struct hierarchical_config {
     transfer_layer_config transfer{};
     /// Run sanitize() on the input first (recommended for raw logs).
     bool sanitize_first = true;
-    /// Worker threads: sessionization is sharded by client and the three
-    /// layer analyses run concurrently. 0 = hardware_concurrency. The
-    /// report is identical for every value.
+    /// Worker threads: sessionization is sharded by client and the parts
+    /// of the three layer analyses run concurrently. 0 =
+    /// hardware_concurrency. The report is identical for every value.
     unsigned threads = 0;
     /// Out-of-core budget: when > 0, sessionization runs through the
     /// spill-and-merge pipeline (characterize/session_spill.h) holding

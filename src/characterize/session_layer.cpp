@@ -34,12 +34,10 @@ value_zipf fit_value_zipf(const std::vector<double>& samples) {
     return vz;
 }
 
-session_layer_report analyze_session_layer(const session_set& sessions,
-                                           const session_layer_config& cfg) {
-    LSM_EXPECTS(!sessions.sessions.empty());
-    LSM_EXPECTS(cfg.hour_bin > 0 && seconds_per_day % cfg.hour_bin == 0);
-    session_layer_report rep;
+namespace {
 
+void session_all(const session_set& sessions,
+                 const session_layer_config& cfg, session_layer_report& rep) {
     rep.on_times.reserve(sessions.sessions.size());
     rep.transfers_per_session.reserve(sessions.sessions.size());
     std::vector<seconds_t> starts;
@@ -114,6 +112,24 @@ session_layer_report analyze_session_layer(const session_set& sessions,
     const double mean_hour =
         sum / static_cast<double>(rep.on_time_by_hour.size());
     rep.on_hour_max_over_mean = mean_hour > 0.0 ? mx / mean_hour : 0.0;
+}
+
+}  // namespace
+
+std::vector<layer_task> session_layer_tasks(const session_set& sessions,
+                                            const session_layer_config& cfg,
+                                            session_layer_report& rep) {
+    LSM_EXPECTS(!sessions.sessions.empty());
+    LSM_EXPECTS(cfg.hour_bin > 0 && seconds_per_day % cfg.hour_bin == 0);
+    return {{"all", [&sessions, &cfg, &rep] {
+                 session_all(sessions, cfg, rep);
+             }}};
+}
+
+session_layer_report analyze_session_layer(const session_set& sessions,
+                                           const session_layer_config& cfg) {
+    session_layer_report rep;
+    run_in_order(session_layer_tasks(sessions, cfg, rep));
     return rep;
 }
 

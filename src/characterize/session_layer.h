@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "characterize/layer_task.h"
 #include "characterize/session_builder.h"
 #include "stats/fitting.h"
 
@@ -60,6 +61,14 @@ struct session_layer_report {
 
 session_layer_report analyze_session_layer(
     const session_set& sessions, const session_layer_config& cfg = {});
+
+/// The session layer as layer tasks (layer_task.h): one part, "all".
+/// Its samples come from one pass over the sessions, so splitting it
+/// would repeat that pass. Checks the preconditions now; the task fills
+/// `rep` and references every argument, which must outlive it.
+std::vector<layer_task> session_layer_tasks(const session_set& sessions,
+                                            const session_layer_config& cfg,
+                                            session_layer_report& rep);
 
 /// Builds the value-frequency profile of a positive integer sample and
 /// fits a Zipf law P[N = x] = c * x^-alpha by log-log regression.

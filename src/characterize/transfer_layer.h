@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "characterize/layer_task.h"
 #include "core/trace.h"
 #include "stats/empirical.h"
 #include "stats/fitting.h"
@@ -53,5 +54,14 @@ struct transfer_layer_report {
 
 transfer_layer_report analyze_transfer_layer(
     const trace& t, const transfer_layer_config& cfg = {});
+
+/// The transfer layer's independent parts (layer_task.h), in the order
+/// analyze_transfer_layer runs them: "concurrency", "interarrivals"
+/// (with their tail fits and bin means), "lengths" (with the lognormal
+/// fit) and "bandwidth". Checks the preconditions now; the tasks fill
+/// `rep` and reference every argument, which must outlive them.
+std::vector<layer_task> transfer_layer_tasks(const trace& t,
+                                             const transfer_layer_config& cfg,
+                                             transfer_layer_report& rep);
 
 }  // namespace lsm::characterize

@@ -2,8 +2,8 @@
 // fixed-seed, reduced-scale GISMO trace must render byte-for-byte the
 // report committed in tests/integration/golden/. The trace goes through
 // both file formats (CSV, then bin-v2 written from the CSV-read trace,
-// since CSV keeps six significant digits) and is characterized at 1 and
-// 4 threads, so one file pins every fit, KS distance and summary
+// since CSV keeps six significant digits) and is characterized at 1, 2,
+// 3 and 4 threads, so one file pins every fit, KS distance and summary
 // statistic across formats, thread counts and the SWAR/scalar decode
 // kernels (the scalar build runs the same test).
 //
@@ -49,7 +49,7 @@ std::string report_bytes(trace t, unsigned threads) {
     return characterize::report_to_json(rep);
 }
 
-TEST(ReportGolden, CsvAndBinV2AtOneAndFourThreads) {
+TEST(ReportGolden, CsvAndBinV2AtOneToFourThreads) {
     gismo::live_config gen = gismo::live_config::scaled(0.02);
     gen.window = 7 * seconds_per_day;
     const trace generated = gismo::generate_live_workload(gen, 2002);
@@ -70,7 +70,7 @@ TEST(ReportGolden, CsvAndBinV2AtOneAndFourThreads) {
     for (const auto& [format, tr] :
          {std::pair<const char*, const trace*>{"csv", &from_csv},
           {"bin-v2", &from_bin}}) {
-        for (unsigned threads : {1U, 4U}) {
+        for (unsigned threads : {1U, 2U, 3U, 4U}) {
             SCOPED_TRACE(std::string(format) + " threads=" +
                          std::to_string(threads));
             const std::string got = report_bytes(*tr, threads);
