@@ -32,14 +32,11 @@
 #include <string>
 #include <vector>
 
-#include "characterize/client_layer.h"
 #include "characterize/hierarchical.h"
 #include "characterize/report.h"
 #include "characterize/report_json.h"
 #include "characterize/session_builder.h"
-#include "characterize/session_layer.h"
 #include "characterize/session_spill.h"
-#include "characterize/transfer_layer.h"
 #include "core/ingest.h"
 #include "core/parallel.h"
 #include "core/trace_io.h"
@@ -549,74 +546,54 @@ int main(int argc, char** argv) {
                   << ingest_rep.quarantine.size() << " bytes)\n";
     }
 
-    if (json) {
-        lsm::characterize::hierarchical_config hcfg;
-        hcfg.session_timeout = timeout;
-        hcfg.threads = threads;
-        hcfg.max_resident_records = max_resident;
-        hcfg.spill_dir = spill_dir;
-        hcfg.metrics = metrics;
-        try {
-            const auto rep =
-                lsm::characterize::characterize_hierarchically(tr, hcfg);
+    // Both output modes run the library facade: sanitize, sessionize
+    // (in memory or spilled) and the three layers.
+    lsm::characterize::hierarchical_config hcfg;
+    hcfg.session_timeout = timeout;
+    hcfg.threads = threads;
+    hcfg.max_resident_records = max_resident;
+    hcfg.spill_dir = spill_dir;
+    hcfg.metrics = metrics;
+    const auto print_sanitization =
+        [](const lsm::sanitize_report& sr) {
+            std::cout << "Sanitization: kept " << sr.kept << ", dropped "
+                      << sr.dropped_out_of_window << " out-of-window, "
+                      << sr.dropped_negative << " malformed\n\n";
+        };
+    try {
+        const auto rep =
+            lsm::characterize::characterize_hierarchically(tr, hcfg);
+        if (json) {
             lsm::characterize::write_report_json(rep, std::cout);
             std::cout << "\n";
-            if (!sessions_out.empty()) {
-                lsm::characterize::write_sessions_csv_file(rep.sessions,
-                                                           sessions_out);
-                std::cerr << "sessions written to " << sessions_out
-                          << "\n";
-            }
-        } catch (const std::exception& e) {
-            std::cerr << "characterization failed: " << e.what() << "\n";
-            return 1;
+        } else {
+            print_sanitization(rep.sanitization);
+            lsm::characterize::print_full_report(
+                std::cout, tr, rep.client, rep.session, rep.transfer);
+            std::cout << "\n== Session ON time distribution (Fig 11) ==\n";
+            lsm::characterize::print_triptych(
+                std::cout, "session ON times (s)", rep.session.on_times, 15);
+            std::cout << "\n== Transfer length distribution (Fig 19) ==\n";
+            lsm::characterize::print_triptych(
+                std::cout, "transfer lengths (s)", rep.transfer.lengths, 15);
         }
-        dump_metrics();
-        return 0;
-    }
-
-    const auto sr = lsm::sanitize(tr);
-    lsm::obs::add_counter(metrics, "characterize/sanitize/kept", sr.kept);
-    lsm::obs::add_counter(metrics,
-                          "characterize/sanitize/dropped_out_of_window",
-                          sr.dropped_out_of_window);
-    lsm::obs::add_counter(metrics, "characterize/sanitize/dropped_negative",
-                          sr.dropped_negative);
-    std::cout << "Sanitization: kept " << sr.kept << ", dropped "
-              << sr.dropped_out_of_window << " out-of-window, "
-              << sr.dropped_negative << " malformed\n\n";
-    if (tr.empty()) {
-        std::cerr << "no records left after sanitization\n";
+        if (!sessions_out.empty()) {
+            lsm::characterize::write_sessions_csv_file(rep.sessions,
+                                                       sessions_out);
+            std::cerr << "sessions written to " << sessions_out << "\n";
+        }
+    } catch (const lsm::characterize::sanitization_emptied_trace& e) {
+        if (json) {
+            std::cerr << "characterization failed: " << e.what() << "\n";
+        } else {
+            print_sanitization(e.report);
+            std::cerr << "no records left after sanitization\n";
+        }
+        return 1;
+    } catch (const std::exception& e) {
+        std::cerr << "characterization failed: " << e.what() << "\n";
         return 1;
     }
-
-    lsm::characterize::session_set sessions;
-    if (max_resident > 0) {
-        lsm::characterize::spill_options sopts;
-        sopts.timeout = timeout;
-        sopts.max_resident_records = max_resident;
-        sopts.spill_dir = spill_dir;
-        sopts.metrics = metrics;
-        sessions = lsm::characterize::build_sessions_spill(tr, sopts, pool);
-    } else {
-        sessions = lsm::characterize::build_sessions(tr, timeout, pool,
-                                                     metrics);
-    }
-    if (!sessions_out.empty()) {
-        lsm::characterize::write_sessions_csv_file(sessions, sessions_out);
-        std::cerr << "sessions written to " << sessions_out << "\n";
-    }
-    const auto cl = lsm::characterize::analyze_client_layer(tr, sessions);
-    const auto sl = lsm::characterize::analyze_session_layer(sessions);
-    const auto tl = lsm::characterize::analyze_transfer_layer(tr);
-    lsm::characterize::print_full_report(std::cout, tr, cl, sl, tl);
-
-    std::cout << "\n== Session ON time distribution (Fig 11) ==\n";
-    lsm::characterize::print_triptych(std::cout, "session ON times (s)",
-                                      sl.on_times, 15);
-    std::cout << "\n== Transfer length distribution (Fig 19) ==\n";
-    lsm::characterize::print_triptych(std::cout, "transfer lengths (s)",
-                                      tl.lengths, 15);
     dump_metrics();
     return 0;
 }
